@@ -16,7 +16,10 @@ Two layers live here:
   per level and shared by every column's bincount), and supports the
   LightGBM subtraction trick: a child's histogram is
   ``parent - sibling``, so only the smaller child of each split is ever
-  accumulated from rows.
+  accumulated from rows. :class:`SubtractionScheduler` does that
+  bookkeeping for every grower, the out-of-core one in
+  ``boosting.stream`` included (its builder gathers rows from scratch
+  memmaps instead of index arrays).
 * the scalar helpers (:func:`feature_histogram`, :func:`split_gain`,
   :func:`best_split_for_feature`) — the audited single-feature reference
   kept for tests and documentation.
@@ -202,24 +205,29 @@ class NodeHistogramBuilder:
 
 class SubtractionScheduler:
     """Per-level bookkeeping of the histogram-subtraction growth shared by
-    the boosting and classification trees.
+    every level-order grower: the in-memory boosting and classification
+    trees and the out-of-core streaming grower (``boosting.stream``).
 
-    The growers hand over each realized split's children (with their row
-    partitions and whether each child will itself be split-searched); the
-    scheduler accumulates the smaller children to build, remembers which
-    larger siblings derive by parent-minus-sibling subtraction, and at
-    level end materializes the next level's position-aligned
-    ``(node ids, histogram block)`` groups: the directly-built children
-    as a zero-copy leading view of the build block, and the subtracted
-    children with one vectorized subtraction per parent group.
+    The growers hand over each realized split's children; a child is
+    ``(node id, row count, build handle, will-be-searched)``, where the
+    row count is exact and the build handle is opaque — whatever the
+    builder's ``build_level`` accepts (row indices for
+    :class:`NodeHistogramBuilder`, a node id for the streaming grower's
+    scratch builder). The scheduler accumulates the smaller children to
+    build, remembers which larger siblings derive by parent-minus-sibling
+    subtraction, and at level end materializes the next level's
+    position-aligned ``(node ids, histogram block)`` groups: the
+    directly-built children as a zero-copy leading view of the build
+    block, and the subtracted children with one vectorized subtraction
+    per parent group.
     """
 
-    def __init__(self, builder: NodeHistogramBuilder):
+    def __init__(self, builder):
         self.builder = builder
 
     def begin_level(self) -> None:
-        self._build_search_idx: "list[np.ndarray]" = []  # entering next level
-        self._build_only_idx: "list[np.ndarray]" = []  # needed only as siblings
+        self._build_search: list = []  # handles of children entering next level
+        self._build_only: list = []  # handles of children needed only as siblings
         self._built_ids: list = []
         self._sub_ids: list = []
         # (parent group, parent pos, symbolic sibling ref); sibling refs
@@ -230,34 +238,32 @@ class SubtractionScheduler:
         self,
         group_i: int,
         pos: int,
-        left: "tuple[object, np.ndarray, bool]",
-        right: "tuple[object, np.ndarray, bool]",
+        left: "tuple[object, int, object, bool]",
+        right: "tuple[object, int, object, bool]",
     ) -> None:
-        """Register a split: ``left``/``right`` are ``(node id, row
-        indices, will-be-searched)``; ``(group_i, pos)`` locates the
+        """Register a split: ``left``/``right`` are ``(node id, row count,
+        build handle, will-be-searched)``; ``(group_i, pos)`` locates the
         parent's histogram in the current level's groups."""
-        l_search = left[2]
-        r_search = right[2]
-        if not (l_search or r_search):
+        if not (left[3] or right[3]):
             return
         # Accumulate only the smaller child from rows; the larger child's
         # histogram, when needed, is parent-minus-sibling.
-        small, large = (left, right) if left[1].size <= right[1].size else (right, left)
-        if small[2]:
-            sibling_ref = ("search", len(self._build_search_idx))
-            self._build_search_idx.append(small[1])
+        small, large = (left, right) if left[1] <= right[1] else (right, left)
+        if small[3]:
+            sibling_ref = ("search", len(self._build_search))
+            self._build_search.append(small[2])
             self._built_ids.append(small[0])
         else:
-            sibling_ref = ("only", len(self._build_only_idx))
-            self._build_only_idx.append(small[1])
-        if large[2]:
+            sibling_ref = ("only", len(self._build_only))
+            self._build_only.append(small[2])
+        if large[3]:
             self._sub_specs.append((group_i, pos, sibling_ref))
             self._sub_ids.append(large[0])
 
     def finish_level(self, groups: "list[tuple[list, np.ndarray]]") -> "list[tuple[list, np.ndarray]]":
         """Build this level's histograms and return the next level's groups."""
-        built = self.builder.build_level(self._build_search_idx + self._build_only_idx)
-        n_search = len(self._build_search_idx)
+        built = self.builder.build_level(self._build_search + self._build_only)
+        n_search = len(self._build_search)
         new_groups: "list[tuple[list, np.ndarray]]" = []
         if self._built_ids:
             new_groups.append((self._built_ids, built[:, :n_search]))

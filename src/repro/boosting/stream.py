@@ -14,23 +14,30 @@ arrays:
 * **codes** are written once into a Fortran-ordered uint8 memmap, so
   every later pass is a cheap page-in of O(chunk) bytes — the raw
   feature chunks are never revisited after the two up-front passes;
-* each level's node histograms accumulate chunk-by-chunk through
-  :func:`~repro.boosting.histogram.level_histogram_partial` /
-  :func:`~repro.boosting.histogram.merge_histograms` — the same kernel
-  the in-memory builder is a one-chunk caller of — and split selection
-  is the shared :func:`~repro.boosting.tree.level_split_search`;
+* growth uses the in-memory grower's histogram subtraction, driven by
+  the same :class:`~repro.boosting.histogram.SubtractionScheduler`: per
+  split only the smaller child's histogram is built — one chunked pass
+  gathers just that child's rows into
+  :func:`~repro.boosting.histogram.level_histogram_partial` (the kernel
+  the in-memory builder is a one-chunk caller of) and merges the chunk
+  partials with :func:`~repro.boosting.histogram.merge_histograms` —
+  and the larger child's is parent minus sibling. While
+  ``n_rows <= _SCRATCH_ROWS`` a built node's histogram is the same
+  single row-ordered bincount the in-memory builder computes. Split
+  selection is the shared :func:`~repro.boosting.tree.level_split_search`;
 * per-row state (margin, gradient/hessian, current node id) lives in
-  flat memmaps updated by chunked lookup-table passes; the per-node
-  ``_idx`` arrays of the in-memory grower never exist.
+  flat memmaps, worked on through plain-ndarray views and updated by
+  chunked lookup-table passes; the per-node ``_idx`` arrays of the
+  in-memory grower never exist.
 
 Node numbering replicates the in-memory grower's exactly (children are
-created in level split order; the next level visits the smaller,
-directly-built children first, then the subtraction-derived larger ones
-— decided by exact integer row counts), so fixed-seed workloads yield
-structurally identical trees. Gradient/hessian sums travel through
-histogram bins rather than per-row ``sum()`` calls, so leaf values and
-gains match the in-memory fit to float re-association (≤1e-9 relative),
-not bit-for-bit.
+created in level split order; the shared scheduler puts the smaller,
+directly-built children first in the next level, then the
+subtraction-derived larger ones — decided by exact integer row counts),
+so fixed-seed workloads yield structurally identical trees.
+Gradient/hessian sums travel through histogram bins rather than per-row
+``sum()`` calls, so leaf values and gains match the in-memory fit to
+float re-association (≤1e-9 relative), not bit-for-bit.
 
 Unsupported in v1 (rejected with ``ConfigurationError``): row/column
 subsampling, early stopping / eval sets, and layouts needing more than
@@ -56,7 +63,12 @@ from ..tabular.binning import (
 )
 from ..utils import as_label_vector
 from .gbm import GradientBoostingClassifier
-from .histogram import histogram_stride, level_histogram_partial, merge_histograms
+from .histogram import (
+    SubtractionScheduler,
+    histogram_stride,
+    level_histogram_partial,
+    merge_histograms,
+)
 from .losses import get_loss
 from .tree import Tree, level_split_search
 
@@ -156,8 +168,10 @@ def fit_gbm_streaming(
     of ``(rows, X_chunk, y_chunk)`` triples covering rows ``0..n_rows``
     in order, with ``rows`` a contiguous ``range``
     (``ChunkedDataset.iter_chunks`` fits directly). The stream is
-    consumed twice (edges + code writing; once when ``edges`` is given);
-    every later pass runs over the uint8 code memmap instead.
+    consumed twice (edges + code writing), or once when ``edges`` is
+    given — as the streaming SAFE fit's ranking GBM does, whose edges
+    come from the selection stage's ``sel-edges`` sketches; every later
+    pass runs over the uint8 code memmap instead.
 
     ``scratch_dir`` hosts the memory-mapped scratch arrays (a private
     temporary directory, removed afterwards, when ``None``). Scratch disk
@@ -300,6 +314,11 @@ def fit_gbm_streaming(
                         "y_digest": _file_digest(y_path),
                     },
                 )
+        # Plain-ndarray views of the memmaps: the same pages, without the
+        # memmap subclass's wrapping of every slice and gather.
+        codes, y, margin, grad, hess, node_of_row = (
+            np.asarray(a) for a in (codes, y, margin, grad, hess, node_of_row)
+        )
 
         model.n_features_ = n_cols
         # base_score is a function of mean(y) for both losses; feeding the
@@ -354,6 +373,60 @@ def fit_gbm_streaming(
             shutil.rmtree(scratch, ignore_errors=True)
 
 
+class _ScratchHistogramBuilder:
+    """The out-of-core :class:`~repro.boosting.histogram.NodeHistogramBuilder`
+    that :class:`~repro.boosting.histogram.SubtractionScheduler` drives
+    when the rows live in the scratch memmaps.
+
+    A build handle is a node id. :meth:`build_level` makes one chunked
+    pass that gathers, in row order, just the rows whose ``node_of_row``
+    entry is a requested node into :func:`level_histogram_partial` and
+    merges the chunk partials. The count channel is always accumulated:
+    child row counts come from it.
+    """
+
+    n_channels = 3
+
+    def __init__(self, codes, grad, hess, node_of_row, stride: int, nodes: list):
+        self.codes = codes
+        self.grad = grad
+        self.hess = hess
+        self.node_of_row = node_of_row
+        self.stride = stride
+        self.n_cols = codes.shape[1]
+        self._nodes = nodes  # the grower's node list, for the slot table size
+
+    def build_level(self, node_ids: "list[int]") -> np.ndarray:
+        m = len(node_ids)
+        if m == 0:
+            return np.zeros((self.n_channels, 0, self.n_cols, self.stride))
+        slot_of_node = np.full(len(self._nodes), -1, dtype=np.int64)
+        slot_of_node[node_ids] = np.arange(m, dtype=np.int64) * self.stride
+        n_rows = self.codes.shape[0]
+        block = None  # every requested node owns rows, so some chunk adds
+        for lo in range(0, n_rows, _SCRATCH_ROWS):
+            hi = min(lo + _SCRATCH_ROWS, n_rows)
+            slots = slot_of_node[self.node_of_row[lo:hi]]
+            rows = np.flatnonzero(slots >= 0)
+            if rows.size == 0:
+                continue
+            if rows.size == hi - lo:
+                rows = None  # the whole chunk is built (the root)
+            pick = slice(None) if rows is None else rows
+            part = level_histogram_partial(
+                self.codes[lo:hi],
+                None if m == 1 else slots[pick],
+                self.grad[lo:hi][pick],
+                self.hess[lo:hi][pick],
+                m,
+                self.stride,
+                with_counts=True,
+                rows=rows,
+            )
+            block = part if block is None else merge_histograms(block, part)
+        return block
+
+
 @inplace_mutator
 def _grow_tree_streaming(
     model: GradientBoostingClassifier,
@@ -365,20 +438,27 @@ def _grow_tree_streaming(
     stride: int,
     n_rows: int,
 ) -> Tree:
-    """Grow one tree level-order from chunked histogram accumulation.
+    """Grow one tree level-order with histogram subtraction, out of core.
 
-    In-place contract: ``node_of_row`` is the caller-owned scratch
-    memmap of per-row node assignments; each split level rewrites it
-    chunk-at-a-time (that *is* the partition pass), and the caller
-    resets it between trees.
+    In-place contract: ``node_of_row`` is the caller-owned per-row node
+    assignment (a plain view of the scratch memmap); each split level
+    rewrites it chunk-at-a-time (that *is* the partition pass), and the
+    caller resets it between trees.
 
     Mirrors :meth:`Tree.fit` decision for decision — same boundary masks,
-    same shared :func:`level_split_search`, same child numbering and
-    next-level ordering (smaller children first, by exact row counts) —
-    but child gradient/hessian sums come from the level's merged
-    histogram block instead of per-row ``sum()`` calls.
+    same shared :func:`level_split_search`, and the same
+    :class:`~repro.boosting.histogram.SubtractionScheduler`, so child
+    numbering and next-level order (built smaller children first, then
+    the subtraction-derived larger ones, decided by exact row counts)
+    are the in-memory grower's. Per split only the smaller child is
+    built from rows, by one chunked gather pass of
+    :class:`_ScratchHistogramBuilder` after the level's partition pass;
+    the larger child is parent minus sibling. While
+    ``n_rows <= _SCRATCH_ROWS`` a built node's histogram is the same
+    single row-ordered bincount the in-memory builder computes; child
+    gradient/hessian sums and row counts come from the parent's
+    histogram instead of per-row ``sum()`` calls.
     """
-    n_cols = codes.shape[1]
     lam = model.reg_lambda
     n_edges = np.array([len(e) for e in edges], dtype=np.int64)
     boundary_ok = np.arange(stride)[None, :] <= n_edges[:, None]
@@ -421,89 +501,60 @@ def _grow_tree_streaming(
         g_root += float(grad[lo:hi].sum())
         h_root += float(hess[lo:hi].sum())
     root = new_node(0, g_root, h_root, n_rows)
-    level: "list[int]" = [root] if searchable(root) else []
-
-    while level:
-        m = len(level)
-        # Slot m is a trash slot absorbing rows whose node is not under
-        # search this level (already-final leaves deeper in the tree).
-        node_lut = np.full(len(nodes), m, dtype=np.int64)
-        for pos, nid in enumerate(level):
-            node_lut[nid] = pos
-        block: "np.ndarray | None" = None
-        for lo in range(0, n_rows, _SCRATCH_ROWS):
-            hi = min(lo + _SCRATCH_ROWS, n_rows)
-            slots = node_lut[node_of_row[lo:hi]] * stride
-            part = level_histogram_partial(
-                codes[lo:hi],
-                slots,
-                grad[lo:hi],
-                hess[lo:hi],
-                m + 1,
-                stride,
-                with_counts=True,
-            )
-            block = part if block is None else merge_histograms(block, part)
-        block = block[:, :m]
-
-        g_sums = np.array([nodes[i]["_gsum"] for i in level])
-        h_sums = np.array([nodes[i]["_hsum"] for i in level])
-        sizes = np.array([float(nodes[i]["n_samples"]) for i in level])
-        best_flat, best_gains = level_split_search(
-            block,
-            g_sums,
-            h_sums,
-            sizes,
-            boundary_ok,
-            model.min_child_weight,
-            model.min_samples_leaf,
-            lam,
-            model.gamma,
-            with_counts_search,
-            tie_rtol=model.tie_rtol,
-        )
-
+    builder = _ScratchHistogramBuilder(codes, grad, hess, node_of_row, stride, nodes)
+    groups: "list[tuple[list[int], np.ndarray]]" = []
+    if searchable(root):
+        groups = [([root], builder.build_level([root]))]
+    scheduler = SubtractionScheduler(builder)
+    while groups:
+        scheduler.begin_level()
         split_parents: "list[int]" = []
-        small_next: "list[int]" = []
-        large_next: "list[int]" = []
-        for pos, nid in enumerate(level):
-            best_gain = float(best_gains[pos])
-            if not np.isfinite(best_gain) or best_gain <= 0:
-                continue
-            node = nodes[nid]
-            j, b = divmod(int(best_flat[pos]), stride)
-            gl = float(block[0, pos, j, : b + 1].sum())
-            hl = float(block[1, pos, j, : b + 1].sum())
-            n_left = int(block[2, pos, j, : b + 1].sum())
-            n_right = node["n_samples"] - n_left
-            if n_left == 0 or n_right == 0:
-                continue
-            col_edges = edges[j]
-            node["feature"] = j
-            node["threshold"] = (
-                float(col_edges[b]) if b < len(col_edges) else np.inf
+        for group_i, (ids, block) in enumerate(groups):
+            best_flat, best_gains = level_split_search(
+                block,
+                np.array([nodes[i]["_gsum"] for i in ids]),
+                np.array([nodes[i]["_hsum"] for i in ids]),
+                np.array([float(nodes[i]["n_samples"]) for i in ids]),
+                boundary_ok,
+                model.min_child_weight,
+                model.min_samples_leaf,
+                lam,
+                model.gamma,
+                with_counts_search,
+                tie_rtol=model.tie_rtol,
             )
-            node["threshold_bin"] = b
-            node["gain"] = best_gain
-            left_id = new_node(node["_depth"] + 1, gl, hl, n_left)
-            right_id = new_node(
-                node["_depth"] + 1, node["_gsum"] - gl, node["_hsum"] - hl, n_right
-            )
-            node["left"] = left_id
-            node["right"] = right_id
-            split_parents.append(nid)
-            # The in-memory grower builds only the smaller child from rows
-            # and derives the larger by subtraction, which puts all the
-            # directly-built children ahead of the derived ones in the
-            # next level's visit order. Row counts are exact integers on
-            # both paths, so this ordering is reproduced deterministically.
-            small, large = (
-                (left_id, right_id) if n_left <= n_right else (right_id, left_id)
-            )
-            if searchable(small):
-                small_next.append(small)
-            if searchable(large):
-                large_next.append(large)
+            for pos, nid in enumerate(ids):
+                best_gain = float(best_gains[pos])
+                if not np.isfinite(best_gain) or best_gain <= 0:
+                    continue
+                node = nodes[nid]
+                j, b = divmod(int(best_flat[pos]), stride)
+                gl = float(block[0, pos, j, : b + 1].sum())
+                hl = float(block[1, pos, j, : b + 1].sum())
+                n_left = int(block[2, pos, j, : b + 1].sum())
+                n_right = node["n_samples"] - n_left
+                if n_left == 0 or n_right == 0:
+                    continue
+                col_edges = edges[j]
+                node["feature"] = j
+                node["threshold"] = (
+                    float(col_edges[b]) if b < len(col_edges) else np.inf
+                )
+                node["threshold_bin"] = b
+                node["gain"] = best_gain
+                left_id = new_node(node["_depth"] + 1, gl, hl, n_left)
+                right_id = new_node(
+                    node["_depth"] + 1, node["_gsum"] - gl, node["_hsum"] - hl, n_right
+                )
+                node["left"] = left_id
+                node["right"] = right_id
+                split_parents.append(nid)
+                scheduler.add_split(
+                    group_i,
+                    pos,
+                    (left_id, n_left, left_id, searchable(left_id)),
+                    (right_id, n_right, right_id, searchable(right_id)),
+                )
 
         if split_parents:
             is_split = np.zeros(len(nodes), dtype=bool)
@@ -519,19 +570,14 @@ def _grow_tree_streaming(
                 right_lut[nid] = nodes[nid]["right"]
             for lo in range(0, n_rows, _SCRATCH_ROWS):
                 hi = min(lo + _SCRATCH_ROWS, n_rows)
-                nid_chunk = np.asarray(node_of_row[lo:hi])
+                nid_chunk = node_of_row[lo:hi]
                 moving = np.flatnonzero(is_split[nid_chunk])
                 if moving.size == 0:
                     continue
                 nids = nid_chunk[moving]
-                code_vals = codes[lo:hi][moving, feat_lut[nids]]
-                go_left = code_vals <= bin_lut[nids]
-                nid_chunk = nid_chunk.copy()
-                nid_chunk[moving] = np.where(
-                    go_left, left_lut[nids], right_lut[nids]
-                )
-                node_of_row[lo:hi] = nid_chunk
-        level = small_next + large_next
+                go_left = codes[lo:hi][moving, feat_lut[nids]] <= bin_lut[nids]
+                nid_chunk[moving] = np.where(go_left, left_lut[nids], right_lut[nids])
+        groups = scheduler.finish_level(groups)
 
     tree = Tree(
         max_depth=model.max_depth,

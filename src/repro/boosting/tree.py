@@ -360,8 +360,8 @@ class Tree:
                     scheduler.add_split(
                         group_i,
                         pos,
-                        (left_id, left_idx, searchable(left_id)),
-                        (right_id, right_idx, searchable(right_id)),
+                        (left_id, left_idx.size, left_idx, searchable(left_id)),
+                        (right_id, right_idx.size, right_idx, searchable(right_id)),
                     )
             groups = scheduler.finish_level(groups)
 

@@ -9,7 +9,9 @@ through the mergeable sufficient-statistics kernels the in-memory entry
 points are one-chunk callers of:
 
 * the mining and ranking GBMs stream through
-  :func:`~repro.boosting.stream.fit_gbm_streaming`;
+  :func:`~repro.boosting.stream.fit_gbm_streaming` (the ranking GBM's
+  edges come from the IV filter's sketches, so it skips its own sketch
+  pass);
 * combination ranking merges :func:`~repro.core.scoring.combination_count_partial`
   cells and finalizes with the shared gain-ratio arithmetic;
 * the IV filter merges :func:`~repro.metrics.batched.iv_bin_counts`
@@ -246,15 +248,26 @@ def _select_streamed(
     n_neg = n_rows - n_pos
     chunks_cand = forest_chunks(data, candidates)
 
+    ranking = GradientBoostingClassifier(
+        n_estimators=cfg.ranking_n_estimators,
+        max_depth=cfg.ranking_max_depth,
+        random_state=cfg.random_state,
+        tie_rtol=GAIN_TIE_RTOL,
+    )
+
     # -- Algorithm 3: IV filter ------------------------------------------
     # Equal-frequency edges come from the sketch pass (exact mode is
     # bit-identical to the in-memory matrix kernel's sort-derived edges);
-    # the side stats reproduce its scorability mask.
+    # the side stats reproduce its scorability mask. The same sketches
+    # also answer the ranking GBM's max_bins edges: a candidate's chunk
+    # values are the same in every forest it is evaluated in
+    # (clean_matrix is elementwise), so its own sketch pass would build
+    # identical sketches.
     def compute_edges():
         return streamed_quantile_edges(
             chunks_cand,
             len(candidates),
-            cfg.iv_bins,
+            (cfg.iv_bins, ranking.max_bins),
             sketch=cfg.sketch,
             capacity=DEFAULT_SKETCH_CAPACITY,
         )
@@ -263,7 +276,7 @@ def _select_streamed(
         edges_state = compute_edges()
     else:
         edges_state = stats.run("sel-edges", compute_edges)
-    edges_per_col, n_finite, col_min, col_max = edges_state
+    (edges_per_col, rank_edges), n_finite, col_min, col_max = edges_state
     with np.errstate(invalid="ignore"):
         scorable = (n_finite > 0) & (col_min < col_max)
     n_edges = np.array([e.size for e in edges_per_col], dtype=np.int64)
@@ -330,18 +343,12 @@ def _select_streamed(
 
     # -- Stage 3: importance ranking -------------------------------------
     exprs_red = [candidates[i] for i in kept_red]
-    ranking = GradientBoostingClassifier(
-        n_estimators=cfg.ranking_n_estimators,
-        max_depth=cfg.ranking_max_depth,
-        random_state=cfg.random_state,
-        tie_rtol=GAIN_TIE_RTOL,
-    )
     fit_gbm_streaming(
         ranking,
         forest_chunks(data, exprs_red),
         n_rows,
         len(exprs_red),
-        sketch=cfg.sketch,
+        edges=[rank_edges[i] for i in kept_red],
         stats=None if stats is None else stats.scoped("sel-rank-gbm"),
     )
     importance = ranking.feature_importances_

@@ -251,8 +251,8 @@ class ClassificationTree:
                     scheduler.add_split(
                         group_i,
                         pos,
-                        (lid, left_idx, searchable(lid)),
-                        (rid, right_idx, searchable(rid)),
+                        (lid, left_idx.size, left_idx, searchable(lid)),
+                        (rid, right_idx.size, right_idx, searchable(rid)),
                     )
             groups = scheduler.finish_level(groups)
 

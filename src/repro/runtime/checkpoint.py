@@ -43,7 +43,9 @@ from .failpoints import failpoint
 CHECKPOINT_FORMAT = "repro-checkpoint-v1"
 
 #: Format tag for sufficient-statistic snapshots (``StatsCheckpointStore``).
-STATS_FORMAT = "repro-stats-v1"
+#: v2: the streaming fit's ``sel-edges`` state also carries the ranking
+#: GBM's edges, so a v1 snapshot is skipped, never unpacked.
+STATS_FORMAT = "repro-stats-v2"
 
 _FILE_TEMPLATE = "iter_{:05d}.json"
 

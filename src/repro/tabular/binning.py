@@ -77,7 +77,12 @@ class QuantileSketch:
     column, without ever holding (or globally sorting) all rows at once.
 
     The summary is a sorted list of ``(value, weight)`` pairs plus exact
-    ``n_finite`` / ``min`` / ``max`` side statistics. With
+    ``n_finite`` / ``min`` / ``max`` side statistics. Fresh rows are
+    buffered; folding them in sorts only the buffer (numpy's default
+    sort, with the run of zeros put back in arrival order because
+    ``-0.0 == +0.0`` and the default sort is unstable) and merges it
+    stably after the existing summary, so the summary is bit-identical to
+    a stable sort of everything seen, without re-sorting the summary. With
     ``capacity=None`` the summary is unbounded: every finite value is
     retained at unit weight and :meth:`edges` is **bit-identical** to
     :func:`equal_frequency_edges` on the concatenated chunks (this is
@@ -120,7 +125,7 @@ class QuantileSketch:
         self.n_finite += int(finite.size)
         self.min = min(self.min, float(finite.min()))
         self.max = max(self.max, float(finite.max()))
-        self._buffer.append(finite.copy())
+        self._buffer.append(finite)  # boolean indexing already copied
         self._buffer_rows += int(finite.size)
         if (
             self.capacity is not None
@@ -131,20 +136,15 @@ class QuantileSketch:
 
     def merge(self, other: "QuantileSketch") -> "QuantileSketch":
         """Pure associative combine: the summary of both sketches' rows."""
-        cap = self.capacity
-        if cap is None or (other.capacity is not None and other.capacity < cap):
-            cap = other.capacity if self.capacity is None else cap
-        out = QuantileSketch(capacity=cap)
+        # The tighter bound wins in either operand order (None is unbounded).
+        caps = [c for c in (self.capacity, other.capacity) if c is not None]
+        out = QuantileSketch(capacity=min(caps) if caps else None)
         out.n_finite = self.n_finite + other.n_finite
         out.min = min(self.min, other.min)
         out.max = max(self.max, other.max)
-        sv, sw = self._summary()
-        ov, ow = other._summary()
-        values = np.concatenate([sv, ov])
-        weights = np.concatenate([sw, ow])
-        order = np.argsort(values, kind="stable")
-        out._values = values[order]
-        out._weights = weights[order]
+        out._values, out._weights = _merge_sorted(
+            *self._summary(), *other._summary()
+        )
         out._parity = (self._parity + other._parity) & 1
         if out.capacity is not None and out._values.size > 2 * out.capacity:
             out._compact()
@@ -175,14 +175,14 @@ class QuantileSketch:
     def _summary(self) -> "tuple[np.ndarray, np.ndarray]":
         """Sorted (values, weights) including any unfolded buffer rows."""
         if self._buffer:
-            fresh = np.concatenate(self._buffer)
-            values = np.concatenate([self._values, fresh])
-            weights = np.concatenate(
-                [self._weights, np.ones(fresh.size, dtype=np.int64)]
-            )
-            order = np.argsort(values, kind="stable")
-            self._values = values[order]
-            self._weights = weights[order]
+            fresh = _stable_sorted(np.concatenate(self._buffer))
+            ones = np.ones(fresh.size, dtype=np.int64)
+            if self._values.size:
+                self._values, self._weights = _merge_sorted(
+                    self._values, self._weights, fresh, ones
+                )
+            else:
+                self._values, self._weights = fresh, ones
             self._buffer = []
             self._buffer_rows = 0
         return self._values, self._weights
@@ -214,6 +214,35 @@ class QuantileSketch:
         self._weights = weights
 
 
+def _stable_sorted(values: np.ndarray) -> np.ndarray:
+    """``values`` in the order a stable sort gives, via the default sort.
+
+    The default (SIMD) sort is unstable, but among finite float64 values
+    only ``-0.0`` and ``+0.0`` compare equal while differing in bits, so
+    putting the run of zeros back in arrival order makes it stable.
+    """
+    out = np.sort(values)
+    lo = np.searchsorted(out, 0.0, side="left")
+    hi = np.searchsorted(out, 0.0, side="right")
+    if hi - lo > 1:
+        out[lo:hi] = values[values == 0.0]  # repro: ignore[float-eq] selects stored zeros of either sign, not a computed result
+    return out
+
+
+def _merge_sorted(
+    a_values: np.ndarray,
+    a_weights: np.ndarray,
+    b_values: np.ndarray,
+    b_weights: np.ndarray,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Stably merge two sorted summaries: on ties ``a``'s entries come
+    first. The stable argsort (timsort) of two sorted runs is a single
+    linear merge of them."""
+    values = np.concatenate([a_values, b_values])
+    order = np.argsort(values, kind="stable")
+    return values[order], np.concatenate([a_weights, b_weights])[order]
+
+
 def merge_quantile_sketches(a: QuantileSketch, b: QuantileSketch) -> QuantileSketch:
     """Associative merge of two :class:`QuantileSketch` partials."""
     return a.merge(b)
@@ -222,7 +251,7 @@ def merge_quantile_sketches(a: QuantileSketch, b: QuantileSketch) -> QuantileSke
 def streamed_quantile_edges(
     chunk_iter,
     n_cols: int,
-    n_bins: int,
+    n_bins: "int | tuple[int, ...]",
     *,
     sketch: str = "merge",
     capacity: int = DEFAULT_SKETCH_CAPACITY,
@@ -242,17 +271,25 @@ def streamed_quantile_edges(
 
     Returns ``(edges_per_col, n_finite, col_min, col_max)``; the side
     statistics are exact in both modes (they never pass through
-    compaction), so scorability guards match the in-memory path's.
+    compaction), so scorability guards match the in-memory path's. A
+    tuple ``n_bins`` asks the same sketches for several bin counts at
+    once; ``edges_per_col`` is then a tuple holding one per-column list
+    per count, in order.
     """
     if sketch not in ("merge", "exact"):
         raise ConfigurationError(f"unknown sketch mode {sketch!r}")
-    edges_per_col: "list[np.ndarray]" = [np.zeros(0)] * n_cols
+    bin_counts = n_bins if isinstance(n_bins, tuple) else (n_bins,)
+    edge_lists: "list[list[np.ndarray]]" = [
+        [np.zeros(0)] * n_cols for _ in bin_counts
+    ]
+    edges_per_col = tuple(edge_lists) if isinstance(n_bins, tuple) else edge_lists[0]
     n_finite = np.zeros(n_cols, dtype=np.int64)
     col_min = np.full(n_cols, np.inf)
     col_max = np.full(n_cols, -np.inf)
 
     def finish(j: int, sk: QuantileSketch) -> None:
-        edges_per_col[j] = sk.edges(n_bins)
+        for edges, count in zip(edge_lists, bin_counts):
+            edges[j] = sk.edges(count)
         n_finite[j] = sk.n_finite
         col_min[j] = sk.min
         col_max[j] = sk.max

@@ -25,6 +25,7 @@ import pytest
 
 from repro.boosting import GradientBoostingClassifier
 from repro.boosting.tree import GAIN_TIE_RTOL
+from repro.boosting import stream as boosting_stream
 from repro.boosting.stream import fit_gbm_streaming
 from repro.core import SAFE, SAFEConfig
 from repro.exceptions import ConfigurationError, DataError
@@ -147,6 +148,92 @@ class TestGbmStreamingParity:
             np.testing.assert_allclose(
                 ref.predict_proba(X), streamed.predict_proba(X), rtol=1e-9, atol=1e-12
             )
+
+    @staticmethod
+    def _fit_both(X, y, chunk, **params):
+        params = dict(
+            n_estimators=4,
+            learning_rate=0.2,
+            random_state=0,
+            tie_rtol=GAIN_TIE_RTOL,
+            **params,
+        )
+        n, k = X.shape
+        ref = GradientBoostingClassifier(**params).fit(X, y)
+        streamed = GradientBoostingClassifier(**params)
+
+        def chunks():
+            for lo in range(0, n, chunk):
+                yield range(lo, min(lo + chunk, n)), X[lo : lo + chunk], y[lo : lo + chunk]
+
+        fit_gbm_streaming(streamed, chunks, n, k, sketch="exact")
+        assert len(ref.trees_) == len(streamed.trees_)
+        for a, b in zip(ref.trees_, streamed.trees_):
+            for name in ("feature", "threshold_bin", "left", "right", "n_samples"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        return ref
+
+    def test_histograms_built_across_scratch_chunks_match(self, monkeypatch):
+        """Built children's histograms merge over several scratch chunks
+        before the larger siblings are derived from them."""
+        monkeypatch.setattr(boosting_stream, "_SCRATCH_ROWS", 173)
+        rng = np.random.default_rng(5)
+        for n, k in ((1200, 4), (1931, 6)):
+            X = rng.normal(size=(n, k))
+            X[:, -1] = X[:, 0]
+            y = (X[:, 0] * X[:, 1] + 0.5 * rng.normal(size=n) > 0).astype(np.float64)
+            self._fit_both(X, y, 211, max_depth=4, max_bins=32, min_samples_leaf=2)
+
+    def test_unsearchable_smaller_child_is_built_for_its_sibling(self):
+        """A high min_samples_leaf leaves smaller children too small to
+        search while their larger siblings are searched: such a child is
+        built only so the sibling can be derived by subtraction."""
+        rng = np.random.default_rng(9)
+        n, msl, depth = 1500, 120, 4
+        X = rng.normal(size=(n, 5))
+        y = (X[:, 0] + X[:, 1] ** 2 + 0.3 * rng.normal(size=n) > 1).astype(np.float64)
+        ref = self._fit_both(
+            X, y, 400, max_depth=depth, max_bins=48, min_samples_leaf=msl
+        )
+        build_only = 0
+        for tree in ref.trees_:
+            node_depth = np.zeros(tree.feature.size, dtype=np.int64)
+            for i in np.flatnonzero(tree.feature >= 0):
+                left, right = tree.left[i], tree.right[i]
+                node_depth[[left, right]] = node_depth[i] + 1
+                small, large = sorted((left, right), key=lambda c: tree.n_samples[c])
+                build_only += (
+                    tree.n_samples[small] < 2 * msl <= tree.n_samples[large]
+                    and node_depth[i] + 1 < depth
+                )
+        assert build_only > 0
+
+
+class TestPassCount:
+    def test_quarantine_merge_fit_makes_nine_passes_per_iteration(self, monkeypatch):
+        """One label pass, then per iteration: mining-GBM edges and codes,
+        combination counts, the quarantine screen, selection edges (which
+        also serve the ranking GBM), IV counts, moments, Gram, and the
+        ranking GBM's codes."""
+        X, y, names = _workload(17, 2000, 5)
+        passes = []
+        iter_chunks = ChunkedDataset.iter_chunks
+
+        def counted(self):
+            passes.append(1)
+            yield from iter_chunks(self)
+
+        monkeypatch.setattr(ChunkedDataset, "iter_chunks", counted)
+        cfg = SAFEConfig(
+            n_iterations=2,
+            sketch="merge",
+            random_state=0,
+            on_operator_error="quarantine",
+        )
+        safe = SAFE(cfg)
+        safe.fit(ChunkedDataset(names, 400, X=X, y=y))
+        assert len(safe.traces_) == 2
+        assert len(passes) == 1 + 9 * 2
 
 
 class TestRuntimeParity:

@@ -347,3 +347,110 @@ def test_bounded_sketch_rank_error_is_bounded():
     merged_edges = merge_quantile_sketches(shard_a, shard_b).edges(n_bins)
     ranks = np.searchsorted(xs, merged_edges, side="right") - 1
     assert np.abs(ranks - targets).max() <= 0.02 * n
+
+
+def test_merged_capacity_is_the_smaller_in_either_order():
+    """The tighter bound wins whichever operand receives ``merge``."""
+    rng = np.random.default_rng(3)
+    wide, narrow = QuantileSketch(10), QuantileSketch(5)
+    wide.update(rng.normal(size=20))
+    narrow.update(rng.normal(size=20))
+    for merged in (wide.merge(narrow), narrow.merge(wide)):
+        assert merged.capacity == 5
+        assert merged._summary()[0].size <= 5
+    unbounded = QuantileSketch(None)
+    assert unbounded.merge(narrow).capacity == 5
+    assert narrow.merge(unbounded).capacity == 5
+    assert unbounded.merge(QuantileSketch(None)).capacity is None
+
+
+class _StableArgsortSketch(QuantileSketch):
+    """Reference fold: every summary is the stable argsort of the
+    concatenated summary and fresh rows (or of both summaries on merge),
+    the sort the sketch ran before it learned to merge sorted runs."""
+
+    __slots__ = ()
+
+    def _summary(self):
+        if self._buffer:
+            fresh = np.concatenate(self._buffer)
+            values = np.concatenate([self._values, fresh])
+            weights = np.concatenate(
+                [self._weights, np.ones(fresh.size, dtype=np.int64)]
+            )
+            order = np.argsort(values, kind="stable")
+            self._values, self._weights = values[order], weights[order]
+            self._buffer, self._buffer_rows = [], 0
+        return self._values, self._weights
+
+    def merge(self, other):
+        caps = [c for c in (self.capacity, other.capacity) if c is not None]
+        out = _StableArgsortSketch(min(caps) if caps else None)
+        out.n_finite = self.n_finite + other.n_finite
+        out.min, out.max = min(self.min, other.min), max(self.max, other.max)
+        sv, sw = self._summary()
+        ov, ow = other._summary()
+        values = np.concatenate([sv, ov])
+        order = np.argsort(values, kind="stable")
+        out._values = values[order]
+        out._weights = np.concatenate([sw, ow])[order]
+        out._parity = (self._parity + other._parity) & 1
+        if out.capacity is not None and out._values.size > 2 * out.capacity:
+            out._compact()
+        return out
+
+
+def _sketch_fingerprint(sketch):
+    values, weights = sketch._summary()
+    return (
+        values.tobytes(),
+        weights.tobytes(),
+        sketch.edges(10).tobytes(),
+        sketch.edges(64).tobytes(),
+        sketch.n_finite,
+        float(sketch.min).hex(),
+        float(sketch.max).hex(),
+    )
+
+
+#: Heavy ties, interleaved signed zeros and every non-finite value.
+_TIED_VALUES = st.sampled_from(
+    [-0.0, 0.0, -0.0, 0.0, 1.0, -1.0, 2.5, np.nan, np.inf, -np.inf]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    capacity=st.sampled_from([None, 2, 7, 64]),
+    column=st.lists(
+        st.one_of(_TIED_VALUES, st.floats(-1e3, 1e3)), min_size=0, max_size=400
+    ),
+    data=st.data(),
+)
+def test_sketch_matches_the_stable_argsort_fold(capacity, column, data):
+    """Sorting only the fresh buffer, then merging stably, reproduces the
+    stable argsort of everything seen byte for byte — signed zeros keep
+    their arrival order although the default sort is unstable."""
+    x = np.asarray(column, dtype=np.float64)
+    cuts = sorted(
+        data.draw(
+            st.lists(st.integers(0, x.size), max_size=8), label="chunk cuts"
+        )
+    )
+    chunks = np.split(x, cuts)
+    n_shards = data.draw(st.integers(1, 3), label="shards")
+    shard_of = [i * n_shards // len(chunks) for i in range(len(chunks))]
+
+    def fold(cls):
+        shards = [cls(capacity) for _ in range(n_shards)]
+        for chunk, shard in zip(chunks, shard_of):
+            shards[shard].update(chunk)
+        chain = cls(capacity)
+        for chunk in chunks:
+            chain.update(chunk)
+        return chain, functools.reduce(lambda a, b: a.merge(b), shards)
+
+    chain, merged = fold(QuantileSketch)
+    ref_chain, ref_merged = fold(_StableArgsortSketch)
+    assert _sketch_fingerprint(chain) == _sketch_fingerprint(ref_chain)
+    assert _sketch_fingerprint(merged) == _sketch_fingerprint(ref_merged)

@@ -18,6 +18,7 @@ from repro.core.config import SAFEConfig
 from repro.core.pipeline import SAFE
 from repro.exceptions import ChunkIntegrityError, InjectedFault, ShardFailureError
 from repro.parallel import _reset_pool_state, set_retry_policy
+from repro.runtime import checkpoint
 from repro.runtime.failpoints import FAILPOINTS, active
 from repro.runtime.retry import RetryPolicy
 from repro.tabular.io import ChunkedDataset, Dataset, save_npy, write_manifest
@@ -274,6 +275,42 @@ class TestChaosSweep:
         report = resumed.runtime_report_
         assert len(report.stats_checkpoints_skipped) == 1
         _assert_matches_reference(_psi(transformer, resumed), reference_psi)
+
+    def test_v1_stats_snapshots_are_skipped_then_recomputed(
+        self, clean_backing, reference_psi, tmp_path, monkeypatch
+    ):
+        # A checkpoint dir written before the format bump: every snapshot
+        # is v1, and ``sel-edges`` has the old shape without the ranking
+        # GBM's edges. Resuming must skip each on its format, never unpack
+        # the old shape, recompute, and still reproduce the reference.
+        x_path, y_path = clean_backing
+        monkeypatch.setattr(checkpoint, "STATS_FORMAT", "repro-stats-v1")
+        crashed = SAFE(config=_config())
+        with active("stream.shard.run", mode="always"):
+            with pytest.raises(ShardFailureError):
+                crashed.fit(
+                    _open(x_path, y_path), checkpoint_dir=str(tmp_path)
+                )
+        store = checkpoint.StatsCheckpointStore(
+            tmp_path / "stats",
+            checkpoint.config_fingerprint(_config(), _open(x_path, y_path).names),
+        )
+        (iv_edges, _), n_finite, col_min, col_max = store.load("it00000/sel-edges")
+        store.save("it00000/sel-edges", (iv_edges, n_finite, col_min, col_max))
+        monkeypatch.undo()
+
+        resumed = SAFE(config=_config())
+        transformer = resumed.fit(
+            _open(x_path, y_path), checkpoint_dir=str(tmp_path)
+        )
+        _assert_matches_reference(_psi(transformer, resumed), reference_psi)
+        report = resumed.runtime_report_
+        assert report.stats_stages_resumed == []
+        assert any("sel-edges" in reason for reason in report.stats_checkpoints_skipped)
+        assert all(
+            "format 'repro-stats-v1', expected 'repro-stats-v2'" in reason
+            for reason in report.stats_checkpoints_skipped
+        )
 
 
 class TestQuarantineRecovery:
