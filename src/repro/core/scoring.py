@@ -6,8 +6,10 @@ every (combination, feature) pair even though a feature typically appears
 in many combinations. :class:`IntervalCodeCache` removes that redundancy:
 
 * each feature's **pooled** split values (the union over every combination
-  that contains it) are sorted and ``searchsorted`` against the column
-  exactly once, producing *fine* interval codes;
+  that contains it) are sorted and the column is coded against them
+  exactly once by :func:`~..tabular.binning.bin_codes` (the
+  ``searchsorted`` codes, by comparison counting), producing *fine*
+  interval codes;
 * a combination's own split-value set is a subset of that union, so its
   *coarse* interval codes are a pure table lookup — ``lut[fine]`` where
   ``lut[c]`` counts the combination's values below fine interval ``c``;
@@ -32,6 +34,7 @@ from ..metrics.batched import (
     gain_ratio_from_counts,
 )
 from ..metrics.information import entropy
+from ..tabular.binning import bin_codes
 
 
 class IntervalCodeCache:
@@ -55,8 +58,8 @@ class IntervalCodeCache:
         self._X = np.asarray(X, dtype=np.float64)
         if self._X.ndim != 2:
             raise ConfigurationError("IntervalCodeCache expects a 2-D matrix")
-        # Row-major transpose: searchsorted over a contiguous column is
-        # several times faster than over a strided column view.
+        # Row-major transpose: every comparison pass of bin_codes then
+        # reads a contiguous column instead of a strided view.
         self._XT = np.ascontiguousarray(self._X.T)
         self._label = None
         if label is not None:
@@ -77,7 +80,10 @@ class IntervalCodeCache:
             self._fine[f] = self._fine_codes(f, union)
 
     def _fine_codes(self, f: int, union: np.ndarray) -> np.ndarray:
-        codes = np.searchsorted(union, self._XT[f], side="left").astype(np.int64)
+        # Raw codes, no missing code: NaN rows sort last (code
+        # len(union)), and a +inf split value (the mining trees'
+        # missing-vs-value threshold) is an ordinary edge.
+        codes = bin_codes(self._XT[f], union).astype(np.int64)
         if self._label is not None:
             codes *= 2
             codes += self._label

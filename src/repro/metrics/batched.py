@@ -13,11 +13,13 @@ so NumPy does all the per-row and per-cell work:
   from that single pass. When the cell radix is unknown or too large a
   single ``np.unique`` pass replaces the dense histogram.
 * :func:`information_values_matrix` — Algorithm 3 over *all* candidate
-  columns at once: one matrix sort replaces the per-column quantile
-  ``Binner`` refits, and column-offset codes let a single flattened
-  ``bincount`` per class produce every column's WoE table (the same
-  offset-code trick the histogram tree in ``boosting/tree.py`` uses to
-  build all feature histograms in one shot).
+  columns, one column at a time: one sort per column yields its
+  scorability guard and its equal-frequency edges (the fit-time binning
+  kernels of :mod:`repro.tabular.binning` replace the per-column
+  quantile ``Binner`` refits), and one ``bincount`` per column of its bin
+  code plus the label as a high digit produces that column's
+  (class, bin) counts. Working column by column keeps the kernel's
+  scratch memory O(rows) instead of several full-matrix temporaries.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 from ..analysis.registry import batched_kernel, chunk_mergeable, kernel_exempt
 from ..exceptions import DataError
+from ..tabular.binning import bin_codes, edges_from_sorted, sorted_finite
 from .information import _EPS, _xlogx, entropy
 
 #: Dense-histogram threshold: past this many cells per row, fall back to a
@@ -158,7 +161,7 @@ def information_values_matrix(
     y: np.ndarray,
     n_bins: int = 10,
 ) -> np.ndarray:
-    """Per-column information values (Eq. 6) computed matrix-at-once.
+    """Per-column information values (Eq. 6) of a whole candidate matrix.
 
     Semantics match the guarded scalar path (``information_value`` behind
     the constant/non-finite guard of the selection stage): columns with no
@@ -166,9 +169,11 @@ def information_values_matrix(
     gets the equal-frequency-bin IV with epsilon-smoothed WoE over
     occupied bins, missing values in their own bin.
 
-    One ``np.sort`` over the masked matrix replaces every per-column
-    quantile fit; column-offset codes and one flattened ``bincount`` per
-    class replace the per-column count loops.
+    Each column is sorted once (:func:`~repro.tabular.binning.sorted_finite`):
+    its finite run gives the scorability guard and, by
+    :func:`~repro.tabular.binning.edges_from_sorted`, the same edges the
+    scalar ``Binner`` fits. :func:`iv_bin_counts` then counts every
+    column's (class, bin) cells, also one column at a time.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -187,36 +192,16 @@ def information_values_matrix(
     if n_pos == 0 or n_neg == 0:
         raise DataError("information_value requires both classes present")
 
-    # Column-major layout: every per-column pass below (sort, searchsorted,
-    # offset add) then runs over contiguous memory.
-    XT = np.ascontiguousarray(X.T)
-    finiteT = np.isfinite(XT)
-    n_finite = finiteT.sum(axis=1)
-    maskedT = XT if finiteT.all() else np.where(finiteT, XT, np.nan)
-    orderedT = np.sort(maskedT, axis=1)  # one sort replaces all quantile fits
-    rows = np.arange(n_cols)
-    col_max = orderedT[rows, np.maximum(n_finite - 1, 0)]
-    with np.errstate(invalid="ignore"):
-        scorable = (n_finite > 0) & (orderedT[:, 0] < col_max)
-
-    # Equal-frequency interior edges for every column from the one sort:
-    # method="lower" quantiles are just floor-indexed picks from the
-    # sorted finite prefix (identical to the scalar Binner's edges).
-    qs = np.linspace(0.0, 1.0, n_bins + 1)[1:-1]
-    pick = np.floor(qs[None, :] * (n_finite[:, None] - 1)).astype(np.int64)
-    pick = np.maximum(pick, 0)
-    candidates = orderedT[rows[:, None], pick]
-
+    scorable = np.zeros(n_cols, dtype=bool)
     edges_per_col: list[np.ndarray] = [np.empty(0)] * n_cols
-    n_edges = np.zeros(n_cols, dtype=np.int64)
-    for j in np.flatnonzero(scorable):
-        edges = np.unique(candidates[j])
-        edges = edges[edges < col_max[j]]
-        edges_per_col[j] = edges
-        n_edges[j] = edges.size
+    for j in range(n_cols):
+        ordered = sorted_finite(X[:, j])
+        if ordered.size and ordered[0] < ordered[-1]:
+            scorable[j] = True
+            edges_per_col[j] = edges_from_sorted(ordered, n_bins)
 
-    stride = int(n_edges.max()) + 2
-    counts = iv_bin_counts(XT, pos_mask, edges_per_col, scorable, stride, finiteT=finiteT)
+    stride = max(edges.size for edges in edges_per_col) + 2
+    counts = iv_bin_counts(X.T, pos_mask, edges_per_col, scorable, stride)
     return iv_from_counts(counts[0], counts[1], n_pos, n_neg, scorable)
 
 
@@ -228,43 +213,39 @@ def iv_bin_counts(
     edges_per_col: "list[np.ndarray]",
     scorable: np.ndarray,
     stride: int,
-    finiteT: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Per-(class, column, bin) counts for a row chunk — the IV partial.
 
-    Column-offset codes: column ``j`` owns the half-open slot
-    ``[j*stride, (j+1)*stride)`` and the class label rides as the high
-    bit, so a single flattened integer bincount counts every
-    (class, column, bin) triple at once. Bin ``edges.size + 1`` of each
-    column holds its non-finite rows (their own WoE bin).
+    One column at a time: :func:`~repro.tabular.binning.bin_codes` codes
+    a contiguous copy of the column (bin ``edges.size + 1`` holds its
+    non-finite rows, their own WoE bin), the class label rides as a high
+    digit (``code + stride * label``), and one ``bincount`` of that key
+    fills the column's ``(2, stride)`` slice of the counts. An unscorable
+    column puts every row in bin 0 of the negatives. Scratch memory is
+    O(chunk_rows), never O(n_cols × chunk_rows).
 
-    ``XT`` is the column-major ``(n_cols, chunk_rows)`` chunk and
-    ``pos_mask`` its positive-label mask; ``edges_per_col``/``scorable``/
-    ``stride`` must be identical across chunks (edges come from one
-    up-front pass — the matrix sort in-memory, the quantile sketch when
-    streaming). Returns ``(2, n_cols, stride)`` int64 counts
-    (``[0]`` negatives, ``[1]`` positives) that merge across chunks by
-    :func:`merge_counts`, bit-identically.
+    ``XT`` is the ``(n_cols, chunk_rows)`` transpose of the chunk (rows
+    that are contiguous, as ``X.T`` of a Fortran-ordered ``X`` is, are
+    read in place) and ``pos_mask`` its positive-label mask;
+    ``edges_per_col``/``scorable``/``stride`` must be identical across
+    chunks (edges come from one up-front pass — a sort per column
+    in-memory, the quantile sketch when streaming). Returns
+    ``(2, n_cols, stride)`` int64 counts (``[0]`` negatives, ``[1]``
+    positives) that merge across chunks by :func:`merge_counts`,
+    bit-identically.
     """
     n_cols, n_rows = XT.shape
-    if finiteT is None:
-        finiteT = np.isfinite(XT)
-    length = n_cols * stride
-    label_offset = pos_mask.astype(np.int64) * length
-    flat = np.empty((n_cols, n_rows), dtype=np.int64)
+    counts = np.zeros((2, n_cols, stride), dtype=np.int64)
+    label_digit = pos_mask.astype(np.int64) * stride
+    key = np.empty(n_rows, dtype=np.int64)
     for j in range(n_cols):
-        base = j * stride
         if not scorable[j]:
-            flat[j] = base
+            counts[0, j, 0] = n_rows
             continue
-        edges = edges_per_col[j]
-        np.add(np.searchsorted(edges, XT[j], side="left"), base, out=flat[j])
-        col_finite = finiteT[j]
-        if not col_finite.all():
-            flat[j][~col_finite] = base + edges.size + 1
-        flat[j] += label_offset
-
-    return np.bincount(flat.ravel(), minlength=2 * length).reshape(2, -1, stride)
+        col = np.ascontiguousarray(XT[j])
+        np.add(bin_codes(col, edges_per_col[j], missing=True), label_digit, out=key)
+        counts[:, j] = np.bincount(key, minlength=2 * stride).reshape(2, stride)
+    return counts
 
 
 @batched_kernel(oracle="information_value")

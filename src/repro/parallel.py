@@ -467,7 +467,9 @@ def parallel_shard_reduce(
     failpoints may take them down); shards whose futures fail with an
     infrastructure error (broken pool, timeout, pickling, injected fault)
     are re-submitted in later rounds while completed shards keep their
-    results. Attempts are capped *per shard* by the installed
+    results. A submit that finds the pool already broken counts as a
+    failed attempt for that shard and for every shard of the round not
+    yet submitted. Attempts are capped *per shard* by the installed
     :class:`~repro.runtime.RetryPolicy`; a shard's final attempt always
     runs serially in-process (rescuing flaky pool infrastructure, and
     degrading ``kill`` faults to catchable exceptions). When a shard
@@ -540,9 +542,16 @@ def parallel_shard_reduce(
                     max_workers=min(n_jobs, len(poolable)),
                     initializer=mark_worker_process,
                 ) as pool:
-                    futures = {
-                        i: pool.submit(worker, payloads[i]) for i in poolable
-                    }
+                    futures = {}
+                    for k, i in enumerate(poolable):
+                        try:
+                            futures[i] = pool.submit(worker, payloads[i])
+                        except _RETRYABLE as exc:
+                            # A dead worker broke the pool mid-round: this
+                            # shard and every one not yet submitted failed
+                            # this attempt.
+                            failures.update(dict.fromkeys(poolable[k:], exc))
+                            break
                     for i, future in futures.items():
                         try:
                             results[i] = future.result(

@@ -114,6 +114,24 @@ class TestBatchedIV:
         with pytest.raises(DataError):
             information_values_matrix(np.ones((4, 2)), np.array([0, 1]))
 
+    def test_scratch_memory_is_per_column(self):
+        """Column at a time, the kernel's scratch is O(rows): on a 30.5 MB
+        Fortran-ordered candidate matrix it allocates under 4 MB at peak
+        beyond its input (no masked, sorted or key copy of the matrix)."""
+        import tracemalloc
+
+        rng = np.random.default_rng(13)
+        X = np.asfortranarray(rng.normal(size=(20_000, 200)))
+        X[rng.random(X.shape) < 0.01] = np.nan
+        y = (rng.random(20_000) < 0.5).astype(float)
+        tracemalloc.start()
+        try:
+            information_values_matrix(X, y, n_bins=10)
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
 
 class TestIntervalCodeCache:
     def test_cells_match_scalar_reference(self):

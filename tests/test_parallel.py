@@ -195,6 +195,52 @@ class TestPoolFaultTolerance:
             degraded = parallel_information_values(X, y, 5, n_jobs=2)
         assert np.allclose(serial, degraded)
 
+    def test_pool_broken_between_submits_retries_the_unsent_shards(self, monkeypatch):
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        import repro.parallel as par
+        from repro.parallel import parallel_shard_reduce, set_retry_policy
+        from repro.runtime.retry import RetryPolicy
+
+        submits = []
+
+        class BreaksOnSecondSubmit:
+            """Runs work inline; the second submit overall finds the pool
+            broken, as when a killed worker breaks it mid-round."""
+
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, arg):
+                submits.append(arg)
+                if len(submits) == 2:
+                    raise BrokenProcessPool("a worker died mid-round")
+                future = Future()
+                future.set_result(fn(arg))
+                return future
+
+        set_retry_policy(RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0))
+        monkeypatch.setattr(par, "ProcessPoolExecutor", BreaksOnSecondSubmit)
+        out = parallel_shard_reduce(
+            square,
+            [1.0, 2.0, 3.0],
+            [(0, 1), (1, 2), (2, 3)],
+            lambda a, b: a + b,
+            n_jobs=2,
+            label="test",
+        )
+        assert out == 14.0
+        # Round one submitted shard 0 and failed at shard 1; round two
+        # re-submitted shards 1 and 2 only.
+        assert submits == [1.0, 2.0, 2.0, 3.0]
+
     def test_worker_data_errors_propagate_unretried(self):
         from repro.parallel import set_retry_policy
         from repro.runtime.retry import RetryPolicy
