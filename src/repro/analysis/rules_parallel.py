@@ -1,18 +1,20 @@
 """Parallel-safety lint rules.
 
-``repro.parallel.parallel_map`` ships work to processes; its payloads
-must be picklable and side-effect-free or the failure shows up miles
-from the cause (a hung pool, a silently stale registry in a worker).
+``repro.parallel.parallel_shard_reduce`` ships work to processes; its
+worker must be picklable and side-effect-free or the failure shows up
+miles from the cause (a hung pool, a silently stale registry in a
+worker).
 
-* ``parallel-callable`` — the callable handed to ``parallel_map`` must
-  be a module-level function: lambdas and nested functions are not
+* ``parallel-callable`` — the worker handed to ``parallel_shard_reduce``
+  must be a module-level function: lambdas and nested functions are not
   picklable by reference, and a closure smuggles captured state into
   the worker where mutations are lost.
 * ``parallel-chunk-state`` — worker payloads (functions named
-  ``_*_chunk`` by convention) must be module-level and must not touch
-  process-global state: no ``global``/``nonlocal``, no operator/kernel
-  registry mutation. A registry write inside a worker only happens in
-  that worker's process and desynchronises it from the parent.
+  ``_*_shard`` or ``_*_chunk`` by convention) must be module-level and
+  must not touch process-global state: no ``global``/``nonlocal``, no
+  operator/kernel registry mutation. A registry write inside a worker
+  only happens in that worker's process and desynchronises it from the
+  parent.
 """
 
 from __future__ import annotations
@@ -24,7 +26,10 @@ from .findings import Finding
 from .linter import LintContext, LintRule, SourceModule
 from .scopes import call_name, dotted_name
 
-_CHUNK_NAME_RE = re.compile(r"^_\w*_chunk$")
+_WORKER_NAME_RE = re.compile(r"^_\w*_(shard|chunk)$")
+
+#: The call that ships its first argument (``worker=``) to processes.
+_POOL_CALL = "parallel_shard_reduce"
 
 #: Names whose mutation inside a worker desynchronises processes.
 REGISTRY_NAMES = frozenset(
@@ -63,18 +68,21 @@ class ParallelCallableRule(LintRule):
     def check_module(self, module: SourceModule, ctx: LintContext):
         _, nested = _collect_def_levels(module.tree)
         for node in ast.walk(module.tree):
-            if not (isinstance(node, ast.Call) and call_name(node) == "parallel_map"):
+            if not (isinstance(node, ast.Call) and call_name(node) == _POOL_CALL):
                 continue
-            if not node.args:
+            workers = node.args[:1] + [
+                kw.value for kw in node.keywords if kw.arg == "worker"
+            ]
+            if not workers:
                 continue
-            fn_arg = node.args[0]
+            fn_arg = workers[0]
             if isinstance(fn_arg, ast.Lambda):
                 yield Finding(
                     path=module.path,
                     line=fn_arg.lineno,
                     rule=self.rule_id,
                     message=(
-                        "lambda passed to parallel_map: lambdas are not picklable "
+                        f"lambda passed to {_POOL_CALL}: lambdas are not picklable "
                         "by reference — hoist the payload to a module-level "
                         "function"
                     ),
@@ -85,7 +93,7 @@ class ParallelCallableRule(LintRule):
                     line=fn_arg.lineno,
                     rule=self.rule_id,
                     message=(
-                        f"nested function '{fn_arg.id}' passed to parallel_map: "
+                        f"nested function '{fn_arg.id}' passed to {_POOL_CALL}: "
                         "closures are not picklable and captured state diverges "
                         "per worker — hoist it to module level and pass state "
                         "explicitly"
@@ -102,7 +110,7 @@ class ParallelChunkStateRule(LintRule):
         def visit(node: ast.AST, in_function: bool) -> None:
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if _CHUNK_NAME_RE.match(child.name):
+                    if _WORKER_NAME_RE.match(child.name):
                         if in_function:
                             findings.append(
                                 Finding(

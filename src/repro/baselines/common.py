@@ -69,7 +69,6 @@ def run_generation_and_selection(
     ranking_max_depth: int,
     random_state: "int | None",
     method_name: str,
-    n_jobs: int = 1,
 ) -> FeatureTransformer:
     """Apply operators to ``ranked`` combos, then SAFE's selection pass."""
     y = train.require_labels()
@@ -82,7 +81,6 @@ def run_generation_and_selection(
         train.X,
         existing_keys={e.key for e in base},
         cache=train_cache,
-        n_jobs=n_jobs,
     )
     candidates: list[Expression] = base + new_exprs
     # Both evaluate_forest blocks are freshly allocated (cache columns are
@@ -107,7 +105,6 @@ def run_generation_and_selection(
         ranking_max_depth=ranking_max_depth,
         max_output=max_output,
         random_state=random_state,
-        n_jobs=n_jobs,
     )
     chosen = [candidates[i] for i in report.final_order]
     if not chosen:

@@ -64,7 +64,6 @@ class RandomGenerator(AutoFeatureEngineer):
             ranking_max_depth=cfg.ranking_max_depth,
             random_state=cfg.random_state,
             method_name=self.name,
-            n_jobs=cfg.n_jobs,
         )
 
 

@@ -54,10 +54,11 @@ class SAFEConfig:
         Always retain original features in the candidate pool (they can
         still be dropped by selection, as in the paper).
     n_jobs:
-        Worker processes for the per-feature information-value stage and
-        the combination-ranking stage (§IV-E.2's "calculated in
-        parallel" requirement; ranking chunks over combinations). ``1``
-        (default) is fully serial; ``-1`` uses every core.
+        Row shards (one worker process each) of the out-of-core fit's
+        IV count pass (§IV-E.2's "calculated in parallel" requirement).
+        ``1`` (default) is fully serial; ``-1`` uses every core. The
+        in-memory fit is serial at any value: its pooled stages measured
+        slower than the serial batched kernels.
     on_operator_error:
         ``"quarantine"`` (default) removes an expression whose operator
         raises — or whose generated column has no finite value — from

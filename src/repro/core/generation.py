@@ -30,6 +30,7 @@ from ..operators.engine import EvalCache, batch_populate_cache
 from ..operators.expressions import Applied, Expression
 from ..runtime.failpoints import failpoint
 from ..runtime.report import QuarantineRecord
+from .scoring import score_combinations
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,6 @@ def rank_combinations(
     y: np.ndarray,
     combos: "list[Combination]",
     gamma: int,
-    n_jobs: int = 1,
 ) -> list[RankedCombination]:
     """Algorithm 2: score each combination by information gain ratio.
 
@@ -125,22 +125,13 @@ def rank_combinations(
     Scoring runs on the batched engine (``core.scoring``): each feature's
     pooled split values are quantized once and shared by every
     combination containing it, and entropy/gain come from vectorized
-    histogram kernels. ``n_jobs > 1`` chunks the *combinations* across
-    worker processes. Results are identical to the scalar
+    histogram kernels. Results are identical to the scalar
     ``cells_from_split_values`` + ``information_gain_ratio`` reference.
     """
     kept = [c for c in combos if c.features]
     if not kept:
         return []
-    if n_jobs != 1 and len(kept) > 1:
-        from ..parallel import parallel_score_combinations
-
-        ratios = parallel_score_combinations(X, y, kept, n_jobs=n_jobs)
-    else:
-        from .scoring import score_combinations
-
-        ratios = score_combinations(X, y, kept)
-    return rank_from_scores(kept, ratios, gamma)
+    return rank_from_scores(kept, score_combinations(X, y, kept), gamma)
 
 
 def rank_from_scores(
@@ -210,7 +201,6 @@ def generate_features(
     X_original: np.ndarray,
     existing_keys: "set[str]",
     cache: "EvalCache | None" = None,
-    n_jobs: int = 1,
     quarantine: "list[QuarantineRecord] | None" = None,
 ) -> list[Expression]:
     """Apply operators to ranked combinations (line 6).
@@ -233,12 +223,6 @@ def generate_features(
     child columns from the cache. Output expressions and columns are
     bit-identical to the scalar ``fit_applied`` reference path.
 
-    ``n_jobs > 1`` chunks the ranked combinations across worker
-    processes (see :func:`repro.parallel.parallel_generate_features`);
-    the supplied ``cache`` is then repopulated in the parent with one
-    batched kernel pass over the merged result, so downstream forest
-    evaluation still reuses vectorized columns.
-
     ``quarantine``: pass a list to enable expression quarantine — an
     operator that raises, or whose column comes back with *no* finite
     value, is dropped from the output (one
@@ -249,18 +233,6 @@ def generate_features(
     both modes return identical expressions with identical cached
     columns.
     """
-    if n_jobs != 1 and len(ranked) > 1:
-        from ..parallel import parallel_generate_features, resolve_n_jobs
-
-        if resolve_n_jobs(n_jobs) > 1:
-            out = parallel_generate_features(
-                ranked, operator_names, base_expressions, X_original,
-                existing_keys, n_jobs=n_jobs, quarantine=quarantine,
-            )
-            if cache is not None:
-                batch_populate_cache(cache, out)
-            return out
-        # n_jobs resolved to one worker: use the serial path (and cache).
     if cache is None:
         cache = EvalCache(X_original)
 

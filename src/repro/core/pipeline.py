@@ -215,9 +215,7 @@ class SAFE(AutoFeatureEngineer):
             combos = combinations_from_paths(
                 paths, max_size=cfg.max_combination_size
             )
-            ranked = rank_combinations(
-                X_fit, y, combos, gamma=cfg.gamma, n_jobs=cfg.n_jobs
-            )
+            ranked = rank_combinations(X_fit, y, combos, gamma=cfg.gamma)
             existing = {e.key for e in expressions}
             quarantined: "list[QuarantineRecord] | None" = (
                 [] if cfg.on_operator_error == "quarantine" else None
@@ -229,7 +227,6 @@ class SAFE(AutoFeatureEngineer):
                 X_original,
                 existing_keys=existing,
                 cache=train_cache,
-                n_jobs=cfg.n_jobs,
                 quarantine=quarantined,
             )
             if quarantined:
@@ -269,7 +266,6 @@ class SAFE(AutoFeatureEngineer):
                 ranking_max_depth=cfg.ranking_max_depth,
                 max_output=max_output,
                 random_state=cfg.random_state,
-                n_jobs=cfg.n_jobs,
             )
             chosen = list(report.final_order)
             if not chosen:

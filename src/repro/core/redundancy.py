@@ -283,7 +283,6 @@ def remove_redundant_features_blocked(
     theta: float,
     columns: "np.ndarray | None" = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    n_jobs: int = 1,
 ) -> np.ndarray:
     """Algorithm 4 greedy de-correlation without the k x k matrix.
 
@@ -304,9 +303,6 @@ def remove_redundant_features_blocked(
         column is a candidate.
     block_size:
         Candidates standardized and checked per BLAS block.
-    n_jobs:
-        Fan the candidate-vs-kept correlation of each block across
-        processes (``repro.parallel.parallel_max_abs_correlation``).
 
     Returns
     -------
@@ -358,23 +354,12 @@ def remove_redundant_features_blocked(
             B = X[:, block_cols]
         Z, z_constant = standardize_columns(B, out=B)  # repro: ignore[inplace-alias] B is the owned gather buf or a fancy-index copy of X, never a view
         if n_kept:
-            if n_jobs != 1:
-                from ..parallel import parallel_max_abs_correlation
-
-                pre_max = parallel_max_abs_correlation(
-                    Z,
-                    panel[:, :n_kept],
-                    cand_constant=z_constant,
-                    kept_constant=panel_constant[:n_kept],
-                    n_jobs=n_jobs,
-                )
-            else:
-                pre_max = max_abs_correlation(
-                    Z,
-                    panel[:, :n_kept],
-                    cand_constant=z_constant,
-                    kept_constant=panel_constant[:n_kept],
-                )
+            pre_max = max_abs_correlation(
+                Z,
+                panel[:, :n_kept],
+                cand_constant=z_constant,
+                kept_constant=panel_constant[:n_kept],
+            )
         else:
             pre_max = np.full(visit.size, -np.inf)
 

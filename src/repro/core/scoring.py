@@ -19,7 +19,7 @@ in many combinations. :class:`IntervalCodeCache` removes that redundancy:
 
 :func:`score_combinations` wires the cache into the vectorized
 gain-ratio kernel, giving the batched ranking engine used by
-``rank_combinations`` and the combination-chunked parallel path.
+``rank_combinations``.
 """
 
 from __future__ import annotations

@@ -62,23 +62,16 @@ def filter_by_information_value(
     alpha: float,
     n_bins: int,
     min_keep: int = 1,
-    n_jobs: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 3: keep columns with ``IV > alpha``.
 
     Returns ``(kept_indices, ivs_of_all_columns)``. If the threshold would
     empty the pool the top ``min_keep`` columns by IV are retained instead
-    (the deployed system must always emit *some* features). ``n_jobs``
-    fans the per-column IV computation across processes (§IV-E.2).
+    (the deployed system must always emit *some* features).
     """
     if X.ndim != 2 or X.shape[1] == 0:
         raise DataError("filter_by_information_value expects a non-empty matrix")
-    if n_jobs != 1:
-        from ..parallel import parallel_information_values
-
-        ivs = parallel_information_values(X, y, n_bins, n_jobs=n_jobs)
-    else:
-        ivs = information_values_safe(X, y, n_bins)
+    ivs = information_values_safe(X, y, n_bins)
     kept = np.flatnonzero(ivs > alpha)
     if kept.size < min_keep:
         kept = np.argsort(-ivs)[:min_keep]
@@ -91,7 +84,6 @@ def remove_redundant_features(
     ivs: np.ndarray,
     theta: float,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    n_jobs: int = 1,
 ) -> np.ndarray:
     """Algorithm 4 (intended semantics): greedy de-correlation by IV.
 
@@ -107,9 +99,7 @@ def remove_redundant_features(
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != np.asarray(ivs).ravel().size:
         raise DataError("ivs length must match number of columns")
-    return remove_redundant_features_blocked(
-        X, ivs, theta, block_size=block_size, n_jobs=n_jobs
-    )
+    return remove_redundant_features_blocked(X, ivs, theta, block_size=block_size)
 
 
 def rank_by_importance(
@@ -151,21 +141,15 @@ def select_features(
     ranking_max_depth: int,
     max_output: "int | None",
     random_state: "int | None",
-    n_jobs: int = 1,
 ) -> SelectionReport:
     """Run the full three-stage pipeline; returns indices into ``X``."""
     # Chaos hook: lets tests kill a fit inside the selection stage.
     failpoint("selection.select")
-    kept_iv, ivs = filter_by_information_value(X, y, alpha, iv_bins, n_jobs=n_jobs)
+    kept_iv, ivs = filter_by_information_value(X, y, alpha, iv_bins)
     # The blocked kernel gathers candidate columns straight from X one
     # block at a time, so the IV survivors are never fancy-index copied
     # as a whole; the only full gather left is the (much smaller)
     # redundancy-survivor matrix the ranking GBM actually fits on.
-    # n_jobs is deliberately not forwarded here: the kernel's hot loop is
-    # one in-process (BLAS-threaded) GEMM per block, which beats shipping
-    # the kept panel to a process pool; the explicit
-    # remove_redundant_features_blocked(..., n_jobs=) path remains for
-    # deployments that pin BLAS to one thread per worker.
     kept_red = remove_redundant_features_blocked(
         X, ivs[kept_iv], theta, columns=kept_iv
     )

@@ -156,8 +156,7 @@ def batch_populate_cache(
     each operator once to the stacked ``(n, m)`` block of child columns
     (m = number of such nodes), storing the resulting columns in
     ``cache``. Stateful, non-batchable, and already-cached nodes are left
-    for lazy per-expression evaluation. Used by ``generate_features``
-    and to rebuild the pipeline's cache after parallel generation.
+    for lazy per-expression evaluation. Used by ``generate_features``.
     """
     groups: dict[str, list[Applied]] = {}
     for expr in expressions:

@@ -1,52 +1,18 @@
-"""Parallel execution helpers (the §IV-E.2 distributed-computing story).
+"""Process-pool execution (the §IV-E.2 distributed-computing story).
 
 The paper's industrial requirements include that "most parts of the
 automatic feature engineering algorithm should be able to be calculated
-in parallel", calling out per-feature information value and per-pair
-Pearson correlation explicitly. This module provides the process-pool
-machinery; :func:`parallel_information_values` is the IV stage's
-parallel path, :func:`parallel_score_combinations` chunks the
-Algorithm 2 ranking over combinations, and
-:func:`parallel_generate_features` chunks the operator-application
-stage over the surviving combinations, and
-:func:`parallel_max_abs_correlation` chunks the redundancy stage's
-candidate-vs-kept correlation reductions (all enabled with
-``SAFEConfig(n_jobs=...)``). :func:`parallel_stream_iv_counts` is the
-row-sharded variant for the out-of-core fit: workers receive contiguous
-:class:`~repro.tabular.ChunkedDataset` shards (paths, not rows) and
-return mergeable count partials, so the fan-out axis is rows rather
-than columns/combinations.
+in parallel". One mechanism does that here: :func:`parallel_shard_reduce`
+runs one worker per contiguous row shard, retries failed shards, and
+merges the shards' partials in shard order. Its one caller is the
+out-of-core fit's IV count pass, :func:`parallel_stream_iv_counts`,
+whose workers receive :class:`~repro.tabular.ChunkedDataset` shards
+(paths, not rows); ``SAFEConfig(n_jobs=...)`` sets the shard count.
 
-Design notes:
-
-* work is chunked so each worker amortizes the pickle/IPC overhead over
-  many columns rather than paying it per column;
-* ``n_jobs=1`` short-circuits to the serial path — no pool, no copies —
-  so the default configuration has zero overhead;
-* workers receive ``(chunk_of_columns, labels)`` and return plain float
-  lists, keeping the picklable surface small.
-
-Fault tolerance: every pool execution goes through :func:`_run_pool`,
-which (a) retries infrastructure failures — ``BrokenProcessPool``,
-pickling errors, per-attempt timeouts — under a
-:class:`~repro.runtime.RetryPolicy`, (b) falls back to in-process
-serial execution with a warning when the retries are exhausted (a
-degraded fit beats a crashed one), and (c) detects environments where a
-``ProcessPoolExecutor`` cannot start at all (sandboxed CI without
-semaphores / ``/dev/shm``) and switches this process to serial with a
-single warning. The ``parallel.pool`` failpoint sits inside each
-attempt so chaos tests can kill the pool deterministically. Because the
-serial fallback runs the exact same chunk payloads in order, results
-are identical to a healthy pool run.
-
-The streaming reducers use :func:`parallel_shard_reduce` instead, which
-tracks completion *per row shard*: only failed or lost shards are
-re-submitted (under per-shard attempt caps), exhaustion raises a typed
-:class:`~repro.exceptions.ShardFailureError` carrying the shard's row
-range, merges happen in deterministic shard order, and an optional
-sufficient-statistic store persists the merged prefix between rounds so
-a killed fit resumes without recounting finished shards. The
-``stream.shard.run`` failpoint sits at the top of each shard worker.
+The in-memory fit is serial at any ``n_jobs``: its pooled IV, ranking,
+generation and redundancy paths each measured slower than the serial
+batched kernel they wrapped (a fresh pool per call plus pickling the
+columns cost more than the work), so they were removed.
 """
 
 from __future__ import annotations
@@ -57,7 +23,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -98,61 +64,6 @@ def _reset_pool_state() -> None:
     _pool_unavailable = False
 
 
-def _serial(worker: Callable[[T], R], payloads: Sequence[T]) -> "list[R]":
-    return [worker(payload) for payload in payloads]
-
-
-def _run_pool(
-    worker: Callable[[T], R],
-    payloads: Sequence[T],
-    max_workers: int,
-    label: str,
-) -> "list[R]":
-    """Execute chunk payloads on a process pool, surviving pool faults.
-
-    Result order always matches ``payloads``. Exceptions raised *by the
-    worker about its data* propagate unchanged on the first attempt —
-    only infrastructure failures (broken pool, pickling, timeout,
-    injected faults) are retried and, on exhaustion, degraded to serial
-    in-process execution with a warning.
-    """
-    global _pool_unavailable
-    if _pool_unavailable:
-        return _serial(worker, payloads)
-    policy = _retry_policy
-    last: "BaseException | None" = None
-    for delay in policy.delays():
-        if delay > 0.0:
-            policy_sleep(delay)
-        try:
-            failpoint("parallel.pool")
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                return list(
-                    pool.map(worker, payloads, timeout=policy.per_attempt_timeout)
-                )
-        except _RETRYABLE as exc:
-            last = exc
-        except (OSError, ImportError, NotImplementedError) as exc:
-            # The executor machinery itself cannot run here (no
-            # semaphores, read-only /dev/shm, sandboxed CI): remember the
-            # verdict and warn exactly once for the whole process.
-            _pool_unavailable = True
-            warnings.warn(
-                "process pools are unavailable in this environment "
-                f"({exc!r}); running all parallel work serially",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return _serial(worker, payloads)
-    warnings.warn(
-        f"parallel {label} failed after {policy.max_attempts} attempt(s) "
-        f"({last!r}); falling back to serial in-process execution",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return _serial(worker, payloads)
-
-
 def policy_sleep(seconds: float) -> None:
     """Indirection over ``time.sleep`` so tests can stub backoff waits."""
     import time
@@ -171,249 +82,30 @@ def resolve_n_jobs(n_jobs: "int | None") -> int:
     return int(n_jobs)
 
 
-def chunk_indices(n_items: int, n_chunks: int) -> list[np.ndarray]:
-    """Split ``range(n_items)`` into at most ``n_chunks`` balanced runs."""
-    if n_items <= 0:
-        return []
-    n_chunks = max(1, min(n_chunks, n_items))
-    return list(np.array_split(np.arange(n_items), n_chunks))
+# Serial stand-ins for the removed pooled stages. Nothing in the program
+# calls them; they stay only because the benchmark's traced run
+# (perfbench/spans.py) installs span wrappers on these names.
 
 
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    n_jobs: "int | None" = None,
-) -> list[R]:
-    """Map ``fn`` over ``items`` with an optional process pool.
-
-    ``fn`` must be picklable (module-level). Order of results matches the
-    order of ``items``.
-    """
-    jobs = resolve_n_jobs(n_jobs)
-    if jobs == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    return _run_pool(fn, items, jobs, "map")
-
-
-def _iv_chunk(payload: "tuple[np.ndarray, np.ndarray, int]") -> list[float]:
-    """Worker: IVs for a block of columns (module-level for pickling)."""
-    block, y, n_bins = payload
+def parallel_information_values(X, y, n_bins):
+    """Per-column information values (serial)."""
     from .core.selection import information_values_safe
 
-    return information_values_safe(block, y, n_bins).tolist()
+    return information_values_safe(X, y, n_bins)
 
 
-def parallel_information_values(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_bins: int,
-    n_jobs: "int | None" = None,
-) -> np.ndarray:
-    """Per-column information values, optionally across processes.
-
-    The parallel path partitions columns into one block per worker; each
-    block travels to its worker once, matching the paper's "calculate the
-    information value of the individual feature ... in parallel".
-    """
-    jobs = resolve_n_jobs(n_jobs)
-    from .core.selection import information_values_safe
-
-    if jobs == 1 or X.shape[1] <= 1:
-        return information_values_safe(X, y, n_bins)
-    chunks = chunk_indices(X.shape[1], jobs)
-    payloads = [(np.ascontiguousarray(X[:, idx]), y, n_bins) for idx in chunks]
-    results = _run_pool(_iv_chunk, payloads, jobs, "information-value")
-    out = np.empty(X.shape[1])
-    for idx, values in zip(chunks, results):
-        out[idx] = values
-    return out
-
-
-def _rank_chunk(payload: "tuple[np.ndarray, np.ndarray, list]") -> list[float]:
-    """Worker: gain ratios for a block of combinations."""
-    X, y, combos = payload
+def parallel_score_combinations(X, y, combos):
+    """Algorithm 2 gain ratios (serial)."""
     from .core.scoring import score_combinations
 
-    return score_combinations(X, y, combos).tolist()
+    return score_combinations(X, y, combos)
 
 
-def parallel_score_combinations(
-    X: np.ndarray,
-    y: np.ndarray,
-    combos: "list",
-    n_jobs: "int | None" = None,
-) -> np.ndarray:
-    """Algorithm 2 gain ratios, chunked over *combinations*.
-
-    Each worker gets a block of combinations plus only the columns that
-    block references (features are remapped onto the narrowed matrix), so
-    the per-feature quantization cache is built once per worker and IPC
-    ships the minimum slice of ``X``. Result order matches ``combos``.
-    """
-    jobs = resolve_n_jobs(n_jobs)
-    from .core.generation import Combination
-    from .core.scoring import score_combinations
-
-    if jobs == 1 or len(combos) <= 1:
-        return score_combinations(X, y, combos)
-    chunks = chunk_indices(len(combos), jobs)
-    payloads = []
-    for idx in chunks:
-        block = [combos[i] for i in idx]
-        cols = sorted({f for combo in block for f in combo.features})
-        remap = {f: k for k, f in enumerate(cols)}
-        narrowed = [
-            Combination(
-                features=tuple(remap[f] for f in combo.features),
-                split_values=combo.split_values,
-            )
-            for combo in block
-        ]
-        payloads.append((np.ascontiguousarray(X[:, cols]), y, narrowed))
-    results = _run_pool(_rank_chunk, payloads, jobs, "ranking")
-    out = np.empty(len(combos))
-    for idx, values in zip(chunks, results):
-        out[idx] = values
-    return out
-
-
-def _generate_chunk(
-    payload: "tuple[list, tuple, list, np.ndarray, set, bool]",
-) -> "tuple[list, list]":
-    """Worker: generated expressions (+ quarantine) for ranked combinations."""
-    ranked, operator_names, base_expressions, X, existing, quarantine_on = payload
+def parallel_generate_features(*args, **kwargs):
+    """Algorithm 1 line 6 generation (serial; ``generate_features``'s args)."""
     from .core.generation import generate_features
 
-    quarantine: list = [] if quarantine_on else None
-    exprs = generate_features(
-        ranked,
-        operator_names,
-        base_expressions,
-        X,
-        existing_keys=existing,
-        quarantine=quarantine,
-    )
-    return exprs, (quarantine or [])
-
-
-def parallel_generate_features(
-    ranked: "list",
-    operator_names: "tuple[str, ...]",
-    base_expressions: "list",
-    X: np.ndarray,
-    existing_keys: "set[str]",
-    n_jobs: "int | None" = None,
-    quarantine: "list | None" = None,
-) -> list:
-    """Feature generation (Algorithm 1 line 6), chunked over combinations.
-
-    Each worker runs the batched generation engine on its block of ranked
-    combinations with its own per-process :class:`EvalCache`; expression
-    trees (with fitted state) travel back over IPC. Because stateful fits
-    are deterministic functions of ``X``, merging the chunks in order and
-    dropping later duplicates reproduces the serial output exactly.
-    ``quarantine`` (a list, or None to disable) receives
-    :class:`~repro.runtime.QuarantineRecord` entries collected inside the
-    workers, deduplicated by expression key like the expressions
-    themselves.
-    """
-    jobs = resolve_n_jobs(n_jobs)
-    from .core.generation import generate_features
-
-    if jobs == 1 or len(ranked) <= 1:
-        return generate_features(
-            ranked, operator_names, base_expressions, X, existing_keys,
-            quarantine=quarantine,
-        )
-    chunks = chunk_indices(len(ranked), jobs)
-    existing = set(existing_keys)
-    payloads = [
-        (
-            [ranked[i] for i in idx],
-            tuple(operator_names),
-            list(base_expressions),
-            X,
-            existing,
-            quarantine is not None,
-        )
-        for idx in chunks
-    ]
-    results = _run_pool(_generate_chunk, payloads, jobs, "generation")
-    out: list = []
-    seen = set(existing)
-    quarantined_keys: set = set()
-    for block, records in results:
-        for expr in block:
-            if expr.key in seen:
-                continue
-            seen.add(expr.key)
-            out.append(expr)
-        if quarantine is None:
-            continue
-        for record in records:
-            if record.key in quarantined_keys:
-                continue
-            quarantined_keys.add(record.key)
-            quarantine.append(record)
-    return out
-
-
-def _corr_chunk(
-    payload: "tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]",
-) -> list[float]:
-    """Worker: candidate-vs-kept max |Pearson| for a block of candidates."""
-    Z, panel, cand_constant, kept_constant = payload
-    from .core.redundancy import max_abs_correlation
-
-    return max_abs_correlation(
-        Z, panel, cand_constant=cand_constant, kept_constant=kept_constant
-    ).tolist()
-
-
-def parallel_max_abs_correlation(
-    Z: np.ndarray,
-    panel: np.ndarray,
-    cand_constant: "np.ndarray | None" = None,
-    kept_constant: "np.ndarray | None" = None,
-    n_jobs: "int | None" = None,
-) -> np.ndarray:
-    """Redundancy-stage candidate-vs-kept correlation, chunked over candidates.
-
-    The paper calls out per-pair Pearson correlation as parallelizable
-    (§IV-E.2); in the blocked incremental greedy the parallel unit is one
-    chunk of a candidate block's standardized columns, each worker
-    reducing its chunk against the (shared) kept panel to per-candidate
-    maxima. Result order matches ``Z``'s columns.
-
-    Cost note: every worker receives a pickled copy of the kept panel per
-    block, so this pays O(jobs * kept * n) IPC per block where the serial
-    path is a single in-process (and BLAS-threaded) GEMM. Worth it only
-    when BLAS is pinned to one thread per process or the per-row work is
-    heavy; the ``n_jobs=1`` default keeps the zero-copy serial path.
-    """
-    jobs = resolve_n_jobs(n_jobs)
-    from .core.redundancy import max_abs_correlation
-
-    if jobs == 1 or Z.shape[1] <= 1:
-        return max_abs_correlation(
-            Z, panel, cand_constant=cand_constant, kept_constant=kept_constant
-        )
-    chunks = chunk_indices(Z.shape[1], jobs)
-    panel = np.asfortranarray(panel)
-    payloads = [
-        (
-            np.asfortranarray(Z[:, idx]),
-            panel,
-            None if cand_constant is None else cand_constant[idx],
-            kept_constant,
-        )
-        for idx in chunks
-    ]
-    results = _run_pool(_corr_chunk, payloads, jobs, "redundancy")
-    out = np.empty(Z.shape[1])
-    for idx, values in zip(chunks, results):
-        out[idx] = values
-    return out
+    return generate_features(*args, **kwargs)
 
 
 def _stream_iv_shard(payload) -> "np.ndarray | None":
@@ -433,11 +125,7 @@ def _stream_iv_shard(payload) -> "np.ndarray | None":
     for _, block, y_chunk in forest_chunks(shard, expressions)():
         pos_mask = np.asarray(y_chunk, dtype=np.float64).ravel() == 1
         part = iv_bin_counts(
-            np.ascontiguousarray(block.T),
-            pos_mask,
-            edges_per_col,
-            scorable,
-            stride,
+            np.ascontiguousarray(block.T), pos_mask, edges_per_col, scorable, stride
         )
         counts = part if counts is None else merge_counts(counts, part)
     return counts
@@ -445,6 +133,17 @@ def _stream_iv_shard(payload) -> "np.ndarray | None":
 
 #: Placeholder for a shard whose result has not arrived yet.
 _SHARD_PENDING = object()
+
+
+def _terminate_workers(pool: ProcessPoolExecutor) -> None:
+    """Kill the pool's workers so leaving its block cannot join a hung one.
+
+    Python 3.11's executor has no public terminate, and its ``_processes``
+    map is the only handle on the workers. Unfinished futures then fail
+    with ``BrokenProcessPool``.
+    """
+    for process in list((pool._processes or {}).values()):
+        process.terminate()
 
 
 def parallel_shard_reduce(
@@ -459,23 +158,29 @@ def parallel_shard_reduce(
 ) -> "R | None":
     """Run one worker per row shard, retrying and merging in shard order.
 
-    This is the recovery-aware counterpart of :func:`_run_pool` for the
-    streaming reducers: instead of all-or-nothing attempts over the whole
-    payload list, each shard is tracked individually. A round submits one
-    future per outstanding shard (workers are marked via
+    Each shard is tracked individually. A round submits one future per
+    outstanding shard to a fresh pool (workers are marked via
     :func:`~repro.runtime.failpoints.mark_worker_process` so ``kill``
-    failpoints may take them down); shards whose futures fail with an
-    infrastructure error (broken pool, timeout, pickling, injected fault)
-    are re-submitted in later rounds while completed shards keep their
-    results. A submit that finds the pool already broken counts as a
-    failed attempt for that shard and for every shard of the round not
-    yet submitted. Attempts are capped *per shard* by the installed
+    failpoints may take them down); shards that fail with an
+    infrastructure error (broken pool, timeout, pickling, injected
+    fault) are re-submitted in later rounds while completed shards keep
+    their results. A submit that finds the pool broken fails that shard
+    and every later one of the round, and such an error escaping the
+    round (the ``parallel.pool`` failpoint) fails every shard of the
+    round still without a result. A future that exceeds the policy's
+    ``per_attempt_timeout`` fails its shard and terminates the round's
+    workers, so a hung worker cannot outlive its attempt. A host where
+    no pool can start is detected once and runs everything serially
+    from then on, with one warning.
+
+    Attempts are capped *per shard* by the installed
     :class:`~repro.runtime.RetryPolicy`; a shard's final attempt always
     runs serially in-process (rescuing flaky pool infrastructure, and
-    degrading ``kill`` faults to catchable exceptions). When a shard
-    exhausts its attempts a :class:`~repro.exceptions.ShardFailureError`
-    carrying the shard's row range propagates. Exceptions the worker
-    raises about its *data* propagate unchanged on the first failure.
+    degrading ``kill`` faults to catchable exceptions), warning
+    ``falling back to serial`` when a shard that failed in the pool
+    completes there. A shard that exhausts its attempts raises a
+    :class:`~repro.exceptions.ShardFailureError` carrying its row range.
+    Exceptions the worker raises about its *data* propagate unchanged.
 
     Results merge strictly in shard-index order (never completion
     order), so the reduction is bit-identical to a serial pass. ``None``
@@ -526,6 +231,9 @@ def parallel_shard_reduce(
             )
 
     attempts = [0] * n
+    #: Last pool failure of each shard that has had one.
+    pool_failures: "dict[int, BaseException]" = {}
+    rescued: "list[int]" = []
     pending = list(range(next_shard, n))
     delay_schedule = policy.delays()
     while pending:
@@ -538,6 +246,7 @@ def parallel_shard_reduce(
         failures: "dict[int, BaseException]" = {}
         if poolable and n_jobs > 1 and not _pool_unavailable:
             try:
+                failpoint("parallel.pool")
                 with ProcessPoolExecutor(
                     max_workers=min(n_jobs, len(poolable)),
                     initializer=mark_worker_process,
@@ -559,7 +268,16 @@ def parallel_shard_reduce(
                             )
                         except _RETRYABLE as exc:
                             failures[i] = exc
+                            if isinstance(exc, FuturesTimeoutError):
+                                _terminate_workers(pool)
+            except _RETRYABLE as exc:
+                # The round died as a whole (e.g. the parallel.pool failpoint).
+                for i in poolable:
+                    if results[i] is _SHARD_PENDING:
+                        failures.setdefault(i, exc)
             except (OSError, ImportError, NotImplementedError) as exc:
+                # No pool can start here (no semaphores, read-only
+                # /dev/shm): remember it and warn once for the process.
                 _pool_unavailable = True
                 warnings.warn(
                     "process pools are unavailable in this environment "
@@ -568,6 +286,7 @@ def parallel_shard_reduce(
                     stacklevel=3,
                 )
                 continue  # same shards, same attempt budget, now serial
+            pool_failures.update(failures)
         else:
             for i in poolable:
                 try:
@@ -579,6 +298,9 @@ def parallel_shard_reduce(
                 results[i] = worker(payloads[i])
             except _RETRYABLE as exc:
                 failures[i] = exc
+            else:
+                if i in pool_failures:
+                    rescued.append(i)
         still_pending = []
         for i in sorted(failures):
             attempts[i] += 1
@@ -591,6 +313,14 @@ def parallel_shard_reduce(
             still_pending.append(i)
         advance_prefix()
         pending = still_pending
+    if rescued:
+        warnings.warn(
+            f"parallel {label}: {len(rescued)} shard(s) failed their pool "
+            f"attempts ({pool_failures[rescued[-1]]!r}); falling back to "
+            "serial in-process execution",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     return merged
 
 
@@ -605,8 +335,7 @@ def parallel_stream_iv_counts(
 ) -> np.ndarray:
     """Row-sharded IV bin counts for the streaming fit, optionally parallel.
 
-    Unlike the column-chunked :func:`parallel_information_values`, this
-    fans *rows* out: the dataset splits into contiguous shards
+    The dataset splits into ``n_jobs`` contiguous shards
     (``ChunkedDataset.shards``), each worker evaluates the candidate
     expressions over its shard's chunks and accumulates
     :func:`~repro.metrics.batched.iv_bin_counts` partials, and the
@@ -639,33 +368,3 @@ def parallel_stream_iv_counts(
     if counts is None:
         raise ConfigurationError("parallel_stream_iv_counts needs a non-empty dataset")
     return counts
-
-
-def _ig_chunk(payload: "tuple[np.ndarray, np.ndarray, int]") -> list[float]:
-    """Worker: binned information gains for a block of columns."""
-    block, y, n_bins = payload
-    from .baselines.tfc import _binned_information_gain
-
-    return [
-        _binned_information_gain(block[:, k], y, n_bins)
-        for k in range(block.shape[1])
-    ]
-
-
-def parallel_information_gains(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_bins: int,
-    n_jobs: "int | None" = None,
-) -> np.ndarray:
-    """Per-column discretized information gain, optionally parallel."""
-    jobs = resolve_n_jobs(n_jobs)
-    if jobs == 1 or X.shape[1] <= 1:
-        return np.asarray(_ig_chunk((X, y, n_bins)))
-    chunks = chunk_indices(X.shape[1], jobs)
-    payloads = [(np.ascontiguousarray(X[:, idx]), y, n_bins) for idx in chunks]
-    results = _run_pool(_ig_chunk, payloads, jobs, "information-gain")
-    out = np.empty(X.shape[1])
-    for idx, values in zip(chunks, results):
-        out[idx] = values
-    return out

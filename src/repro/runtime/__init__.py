@@ -7,7 +7,7 @@ Four pieces, layered under the SAFE pipeline and the serving path:
   piece through these);
 * :mod:`~repro.runtime.retry` — :class:`RetryPolicy` (bounded attempts,
   exponential backoff with seeded jitter, per-attempt timeout) used by
-  the process-pool paths in :mod:`repro.parallel`;
+  the shard pool in :mod:`repro.parallel`;
 * :mod:`~repro.runtime.checkpoint` — atomic, checksummed per-iteration
   fit checkpoints with corrupt-file detection and config/schema
   fingerprints;

@@ -57,10 +57,11 @@ from ..exceptions import ConfigurationError, FailpointSpecError, InjectedFault
 #: an undocumented (or orphaned) entry.
 SITE_DOCS: "dict[str, str]" = {
     "parallel.pool": (
-        "Inside each process-pool attempt in repro.parallel._run_pool, "
-        "before the executor is built. Models a pool that dies wholesale "
-        "(BrokenProcessPool, pickling failure) so retry and serial-fallback "
-        "paths can be driven deterministically."
+        "Before each round's executor is built in "
+        "repro.parallel.parallel_shard_reduce. Models a pool that dies "
+        "wholesale (BrokenProcessPool, pickling failure): every shard of "
+        "the round without a result fails that attempt, so per-shard "
+        "retry and serial-fallback paths can be driven deterministically."
     ),
     "generation.operator": (
         "Once per planned expression during feature generation. Models an "

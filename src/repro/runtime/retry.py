@@ -10,10 +10,11 @@ from a seeded ``random.Random`` stream. Deterministic jitter keeps
 chaos tests reproducible while still de-synchronizing real fleets.
 
 ``per_attempt_timeout`` bounds how long a single attempt may take where
-the execution layer supports cancellation — the process-pool paths in
-:mod:`repro.parallel` pass it to ``Executor.map``; for plain in-process
-``call`` it is advisory only (Python cannot safely interrupt arbitrary
-code).
+the execution layer supports cancellation — the shard pool in
+:func:`repro.parallel.parallel_shard_reduce` waits at most that long
+for each shard's future, then terminates the round's workers; for plain
+in-process ``call`` it is advisory only (Python cannot safely interrupt
+arbitrary code).
 """
 
 from __future__ import annotations

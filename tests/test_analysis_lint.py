@@ -155,23 +155,50 @@ class TestAliasingRule:
 
 
 class TestParallelRules:
-    def test_lambda_to_parallel_map_fires(self):
+    def test_lambda_to_parallel_shard_reduce_fires(self):
         findings = _lint_src(
-            "from repro.utils import parallel_map\n"
-            "def f(items):\n"
-            "    return parallel_map(lambda x: x + 1, items)\n"
+            "from repro.parallel import parallel_shard_reduce\n"
+            "def f(items, ranges):\n"
+            "    return parallel_shard_reduce(\n"
+            "        lambda x: x + 1, items, ranges, max, 2, 'f'\n"
+            "    )\n"
+        )
+        assert "parallel-callable" in _rule_ids(findings)
+
+    def test_nested_worker_by_keyword_fires(self):
+        findings = _lint_src(
+            "from repro.parallel import parallel_shard_reduce\n"
+            "def f(items, ranges):\n"
+            "    def count(x):\n"
+            "        return x + 1\n"
+            "    return parallel_shard_reduce(\n"
+            "        worker=count, payloads=items, shard_ranges=ranges,\n"
+            "        merge=max, n_jobs=2, label='f',\n"
+            "    )\n"
         )
         assert "parallel-callable" in _rule_ids(findings)
 
     def test_module_level_worker_not_flagged(self):
         findings = _lint_src(
-            "from repro.utils import parallel_map\n"
-            "def _score_one(x):\n"
+            "from repro.parallel import parallel_shard_reduce\n"
+            "def _score_shard(x):\n"
             "    return x + 1\n"
-            "def f(items):\n"
-            "    return parallel_map(_score_one, items)\n"
+            "def f(items, ranges):\n"
+            "    return parallel_shard_reduce(\n"
+            "        _score_shard, items, ranges, max, 2, 'f'\n"
+            "    )\n"
         )
         assert "parallel-callable" not in _rule_ids(findings)
+        assert "parallel-chunk-state" not in _rule_ids(findings)
+
+    def test_shard_worker_touching_global_state_fires(self):
+        findings = _lint_src(
+            "def _count_shard(payload):\n"
+            "    global TOTAL\n"
+            "    TOTAL = payload\n"
+            "    return payload\n"
+        )
+        assert "parallel-chunk-state" in _rule_ids(findings)
 
     def test_chunk_worker_touching_global_state_fires(self):
         findings = _lint_src(

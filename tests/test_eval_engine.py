@@ -324,32 +324,6 @@ class TestBatchedGeneration:
         finally:
             _REGISTRY.pop("share_of_total_test", None)
 
-    def test_n_jobs_2_parity(self, X):
-        base = [Var(i) for i in range(6)]
-        ranked = _ranked((0, 1), (2,), (2, 3), (4, 5), (1,), (0, 5), (3,))
-        serial = generate_features(ranked, OPS, base, X, set())
-        par = generate_features(ranked, OPS, base, X, set(), n_jobs=2)
-        assert [e.key for e in par] == [e.key for e in serial]
-        assert [e.state for e in par] == [e.state for e in serial]
-        assert identical(
-            evaluate_forest(par, X), evaluate_forest(serial, X)
-        )
-
-    def test_n_jobs_2_repopulates_supplied_cache(self, X):
-        # The parent's cache must hold batched columns after a parallel
-        # run, so downstream forest evaluation stays vectorized.
-        base = [Var(i) for i in range(6)]
-        ranked = _ranked((0, 1), (2, 3), (4,))
-        cache = EvalCache(X)
-        par = generate_features(ranked, OPS, base, X, set(),
-                                cache=cache, n_jobs=2)
-        stateless = [e for e in par if e.state is None
-                     and not e.operator.is_stateful]
-        assert stateless
-        for expr in stateless:
-            assert expr in cache
-            assert identical(cache.column(expr), expr.evaluate(X))
-
 
 class TestOperatorIntrospection:
     def test_is_stateful_flags(self):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.generation import Combination, rank_combinations
+from repro.core.generation import Combination
 from repro.core.scoring import IntervalCodeCache, score_combinations
 from repro.core.selection import information_values_safe
 from repro.exceptions import ConfigurationError, DataError
@@ -217,20 +217,3 @@ class TestBatchedGainRatio:
     def test_rejects_length_mismatch(self):
         with pytest.raises(DataError):
             gain_ratio_from_cells(np.zeros(3), np.zeros(2, dtype=np.int64))
-
-
-class TestParallelRankingParity:
-    def test_n_jobs_2_equals_serial(self):
-        rng = np.random.default_rng(13)
-        X = rng.normal(size=(600, 8))
-        y = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(float)
-        combos = random_combinations(rng, 8, 24)
-        serial = rank_combinations(X, y, combos, gamma=10)
-        parallel = rank_combinations(X, y, combos, gamma=10, n_jobs=2)
-        assert [
-            (r.combination.features, r.combination.split_values, r.gain_ratio)
-            for r in serial
-        ] == [
-            (r.combination.features, r.combination.split_values, r.gain_ratio)
-            for r in parallel
-        ]
