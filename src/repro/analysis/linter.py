@@ -99,7 +99,7 @@ def default_rules() -> "list[LintRule]":
         GuardedDivisionRule,
         GuardedLogRule,
     )
-    from .rules_kernels import BatchableParityRule, KernelContractRule
+    from .rules_kernels import KernelContractRule
     from .rules_parallel import ParallelCallableRule, ParallelChunkStateRule
     from .rules_robustness import ExceptSwallowRule, WallClockDeadlineRule
     from .rules_stream import FullMatrixInChunkLoopRule
@@ -116,7 +116,6 @@ def default_rules() -> "list[LintRule]":
         ExceptSwallowRule(),
         WallClockDeadlineRule(),
         KernelContractRule(),
-        BatchableParityRule(),
         FullMatrixInChunkLoopRule(),
         ArtifactWriteRule(),
     ]

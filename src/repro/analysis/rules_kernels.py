@@ -13,12 +13,6 @@ they are evidence):
   proxy (it cannot prove the test asserts equality) but it is immune
   to test-style churn and catches the real failure mode: a kernel
   added with no parity test at all.
-* ``batchable-parity`` — every operator class declaring
-  ``batchable = True`` must be referenced by a registration module
-  (one that calls ``register_operator``) so the generic
-  ``(n, m)``-block parity sweep in the test suite actually reaches it;
-  and that sweep (a test using ``available_operators`` and
-  ``batchable``) must exist.
 """
 
 from __future__ import annotations
@@ -121,78 +115,5 @@ class KernelContractRule(LintRule):
                         f"kernel '{fn.name}' has no parity test: no test module "
                         f"mentions both '{fn.name}' and its oracle '{oracle}' — "
                         "add a test comparing the two on shared inputs"
-                    ),
-                )
-
-
-def _batchable_classes(module: SourceModule) -> "list[ast.ClassDef]":
-    out: "list[ast.ClassDef]" = []
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for stmt in node.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and any(
-                    isinstance(t, ast.Name) and t.id == "batchable"
-                    for t in stmt.targets
-                )
-                and isinstance(stmt.value, ast.Constant)
-                and stmt.value.value is True
-            ):
-                out.append(node)
-                break
-    return out
-
-
-class BatchableParityRule(LintRule):
-    rule_id = "batchable-parity"
-
-    def check_project(self, ctx: LintContext):
-        registered: "set[str]" = set()
-        batchable: "list[tuple[SourceModule, ast.ClassDef]]" = []
-        for module in ctx.src_modules:
-            if module.tree is None:
-                continue
-            batchable.extend((module, cls) for cls in _batchable_classes(module))
-            calls_register = any(
-                isinstance(node, ast.Name) and node.id == "register_operator"
-                for node in ast.walk(module.tree)
-            )
-            if calls_register:
-                for node in ast.walk(module.tree):
-                    if isinstance(node, ast.Name) and not isinstance(
-                        node.ctx, ast.Store
-                    ):
-                        registered.add(node.id)
-
-        sweep_exists = any(
-            m.tree
-            and {"available_operators", "batchable"} <= _module_identifiers(m)
-            for m in ctx.test_modules
-        )
-
-        for module, cls in batchable:
-            if cls.name not in registered:
-                yield Finding(
-                    path=module.path,
-                    line=cls.lineno,
-                    rule=self.rule_id,
-                    message=(
-                        f"batchable operator '{cls.name}' is never passed to "
-                        "register_operator: the (n, m)-block parity sweep only "
-                        "covers registered operators, so its batch contract is "
-                        "untested"
-                    ),
-                )
-            elif not sweep_exists:
-                yield Finding(
-                    path=module.path,
-                    line=cls.lineno,
-                    rule=self.rule_id,
-                    message=(
-                        f"batchable operator '{cls.name}' has no parity sweep: no "
-                        "test module iterates available_operators() checking the "
-                        "batchable block contract"
                     ),
                 )

@@ -13,13 +13,13 @@ Two layers live here:
   run on. It builds the ``(2 + count)``-component histograms of *all
   nodes of one tree level in a single batched pass per column* (no
   ``np.repeat(weights, n_cols)`` temporaries — weights are gathered once
-  per level and shared by every column's bincount), and supports the
-  LightGBM subtraction trick: a child's histogram is
-  ``parent - sibling``, so only the smaller child of each split is ever
-  accumulated from rows. :class:`SubtractionScheduler` does that
-  bookkeeping for every grower, the out-of-core one in
-  ``boosting.stream`` included (its builder gathers rows from scratch
-  memmaps instead of index arrays).
+  per level and shared by every column's bincount, and an all-rows root
+  gathers nothing), and supports the LightGBM subtraction trick: a
+  child's histogram is ``parent - sibling``, so only the smaller child
+  of each split is ever accumulated from rows.
+  :class:`SubtractionScheduler` does that bookkeeping for every grower,
+  the out-of-core one in ``boosting.stream`` included (its builder
+  gathers rows from scratch memmaps instead of index arrays).
 * the scalar helpers (:func:`feature_histogram`, :func:`split_gain`,
   :func:`best_split_for_feature`) — the audited single-feature reference
   kept for tests and documentation.
@@ -96,7 +96,9 @@ def level_histogram_partial(
     ``None`` means every row belongs to node 0, which keeps the single-node
     fast path's one up-front ``intp`` conversion. ``rows`` optionally
     gathers a subset of ``codes``'s rows (then ``slots``/``w0``/``w1``
-    align with ``rows``, not with ``codes``).
+    align with ``rows``, not with ``codes``): one 1-D ``take`` per column
+    slice, which stays a contiguous read on the Fortran-ordered codes
+    the builders keep. ``rows=None`` reads each column slice as is.
 
     Partials over row chunks merge by :func:`merge_histograms`; the float
     weight channels re-associate, so streamed histograms match in-memory
@@ -109,7 +111,7 @@ def level_histogram_partial(
         return out
     length = m * stride
     for j in range(n_cols):
-        col = codes[:, j] if rows is None else codes[rows, j]
+        col = codes[:, j] if rows is None else codes[:, j].take(rows)
         if slots is None:
             # One up-front intp conversion instead of one per bincount.
             key = col.astype(np.intp)
@@ -144,7 +146,12 @@ class NodeHistogramBuilder:
     ``build_level`` accumulates the histograms of every requested node in
     one pass per column: the nodes' row indices are concatenated, each
     row is offset by its node's slot, and a single ``bincount`` per
-    (column, channel) fills a contiguous level slice. Per-bin
+    (column, channel) fills a contiguous level slice. A node's handle is
+    its row-index array, or ``None`` for a node that holds every row (an
+    unsubsampled root, built alone): it reads the column slices and the
+    weight vectors as they are, with no row gather. The grower says which
+    node that is; an index array of length ``n`` is not taken to mean all
+    rows, since it need not be ``arange(n)``. Per-bin
     accumulation order equals each node's row order, so a built histogram
     is bit-identical to a per-node ``bincount`` over the same rows. The
     caller derives each remaining (larger) child as ``parent - sibling``
@@ -172,10 +179,12 @@ class NodeHistogramBuilder:
         self.w1 = w1
 
     @batched_kernel(oracle="feature_histogram")
-    def build_level(self, idx_list: "list[np.ndarray]") -> np.ndarray:
+    def build_level(self, idx_list: "list[np.ndarray | None]") -> np.ndarray:
         """Histograms of all nodes in ``idx_list``:
         ``(n_channels, m, n_cols, stride)``.
 
+        Each entry is a node's row indices, or ``None`` for a node that
+        holds all rows and is built alone (an unsubsampled root).
         Node ``i`` of the level occupies ``[:, i]``, so a group of nodes
         is a zero-copy prefix view and the level-batched split search can
         ``cumsum``/``argmax`` each node's ``(n_cols, stride)`` table
@@ -194,8 +203,8 @@ class NodeHistogramBuilder:
         return level_histogram_partial(
             self.codes,
             slot,
-            self.w0[rows],
-            self.w1[rows],
+            self.w0 if rows is None else self.w0[rows],
+            self.w1 if rows is None else self.w1[rows],
             m,
             self.stride,
             with_counts=self.n_channels == 3,

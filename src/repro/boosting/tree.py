@@ -295,7 +295,10 @@ class Tree:
         # amplify cancellation error in the gains).
         groups: "list[tuple[list[int], np.ndarray]]" = []
         if searchable(root):
-            groups = [([root], builder.build_level([root_idx]))]
+            # Without ``rows`` the root holds every row: the builder reads
+            # the column slices as they are instead of gathering them.
+            handle = None if rows is None else root_idx
+            groups = [([root], builder.build_level([handle]))]
         scheduler = SubtractionScheduler(builder)
         while groups:
             scheduler.begin_level()
@@ -344,7 +347,7 @@ class Tree:
                     # chosen), the threshold is +inf: every real value goes
                     # left, missing goes right.
                     threshold = float(col_edges[b]) if b < len(col_edges) else np.inf
-                    go_left = codes_f[idx, j] <= b
+                    go_left = codes_f[:, j].take(idx) <= b
                     left_idx = idx[go_left]
                     right_idx = idx[~go_left]
                     if left_idx.size == 0 or right_idx.size == 0:

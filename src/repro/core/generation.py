@@ -212,16 +212,15 @@ def generate_features(
     expressions (same canonical key, including anything already in
     ``existing_keys``) are skipped.
 
-    Evaluation runs on the batched engine: each surviving combination's
-    child columns are gathered once from ``cache`` (an
-    :class:`~repro.operators.engine.EvalCache` over ``X_original``;
-    created here if not supplied, pass the pipeline's to reuse the
-    columns downstream), and every stateless batchable operator is
-    applied as one vectorized kernel over the ``(n, m)`` block of all its
-    arrangements, with the resulting columns stored back into the cache.
-    Stateful operators keep their audited per-expression ``fit`` but draw
-    child columns from the cache. Output expressions and columns are
-    bit-identical to the scalar ``fit_applied`` reference path.
+    Evaluation runs on the cached engine: child columns come from
+    ``cache`` (an :class:`~repro.operators.engine.EvalCache` over
+    ``X_original``; created here if not supplied, pass the pipeline's to
+    reuse the columns downstream), and every stateless expression's
+    column is computed once, by its operator's kernel on the 1-D child
+    columns, and stored in the cache. Stateful operators keep their
+    audited per-expression ``fit`` but draw child columns from the cache.
+    Output expressions and columns are bit-identical to the scalar
+    ``fit_applied`` reference path.
 
     ``quarantine``: pass a list to enable expression quarantine — an
     operator that raises, or whose column comes back with *no* finite
@@ -250,9 +249,8 @@ def generate_features(
     for _ in plan:
         failpoint("generation.operator")
 
-    # Pass 2: vectorized kernels — every stateless operator is applied
-    # once to the stacked (n, m) block of all its arrangements, columns
-    # stored back into the cache.
+    # Pass 2: every stateless expression's column, one kernel call each
+    # on its cached child columns, stored in the cache.
     exprs: "list[Expression | None]" = [
         None if op.is_stateful else Applied(op.name, children, None)
         for op, children in plan
@@ -275,16 +273,16 @@ def _generate_with_quarantine(
 ) -> list[Expression]:
     """Fault-isolating variant of generation passes 2 and 3.
 
-    Stateless batchable operators still take the one-kernel-per-operator
-    fast path; if a batched call blows up, the whole group silently drops
-    to the per-expression loop below where the *individual* failing
-    expressions are identified and quarantined (and the healthy ones
-    still produced). Every planned expression is then materialized once
-    through the cache — the same columns the batch pass stored, so a
-    fault-free run is bit-identical to the non-quarantine path — and
-    screened: a raise or an all-non-finite column removes the expression
-    from this iteration instead of aborting the fit. The
-    ``generation.operator`` failpoint fires once per planned expression.
+    The stateless expressions' columns are populated first, as in the
+    strict path; if one raises, population stops there and the
+    per-expression loop below identifies and quarantines the *individual*
+    failing expressions (and still produces the healthy ones). Every
+    planned expression is then materialized once through the cache — the
+    same columns the populate pass stored, so a fault-free run is
+    bit-identical to the non-quarantine path — and screened: a raise or
+    an all-non-finite column removes the expression from this iteration
+    instead of aborting the fit. The ``generation.operator`` failpoint
+    fires once per planned expression.
     """
     stateless = [
         Applied(op.name, children, None)

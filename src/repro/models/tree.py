@@ -174,7 +174,9 @@ class ClassificationTree:
         # subtracted larger children.
         groups: "list[tuple[list[int], np.ndarray]]" = []
         if searchable(root):
-            groups = [([root], builder.build_level([nodes[root]["_idx"]]))]
+            # The root holds every row: ``None`` lets the builder read the
+            # column slices without a gather.
+            groups = [([root], builder.build_level([None]))]
         scheduler = SubtractionScheduler(builder)
         while groups:
             scheduler.begin_level()
@@ -237,7 +239,7 @@ class ClassificationTree:
                         if best_bin < len(col_edges)
                         else np.inf
                     )
-                    go_left = codes_f[idx, best_feat] <= best_bin
+                    go_left = codes_f[:, best_feat].take(idx) <= best_bin
                     left_idx = idx[go_left]
                     right_idx = idx[~go_left]
                     if left_idx.size == 0 or right_idx.size == 0:

@@ -43,13 +43,6 @@ class Operator(ABC):
     commutative: bool = False
     #: Human-oriented infix/function symbol used by Expression.format.
     symbol: str = ""
-    #: Whether :meth:`apply` is a columnwise kernel that may be called on
-    #: ``(n, m)`` *batches* (one column per arrangement) and produce the
-    #: same result as m independent 1-D calls. The built-in stateless
-    #: operators opt in (they are elementwise or stack on a fresh axis);
-    #: the conservative default keeps unaudited extensions on the
-    #: always-correct per-expression path in batched generation.
-    batchable: bool = False
     #: Whether output row ``i`` depends only on input row ``i`` — no
     #: cross-row coupling (elementwise arithmetic, logical connectives,
     #: conditionals, per-row reductions over the arguments). Row-wise

@@ -28,7 +28,6 @@ class AddOp(Operator):
     arity = 2
     commutative = True
     symbol = "+"
-    batchable = True
     rowwise = True
     # add(x, x) is 2x: linearly redundant with its child.
     degenerate_on_equal_children = True
@@ -42,7 +41,6 @@ class SubOp(Operator):
     arity = 2
     commutative = False
     symbol = "-"
-    batchable = True
     rowwise = True
     degenerate_on_equal_children = True  # x - x == 0
 
@@ -55,7 +53,6 @@ class MulOp(Operator):
     arity = 2
     commutative = True
     symbol = "*"
-    batchable = True
     rowwise = True
 
     def apply(self, state, a, b):
@@ -69,7 +66,6 @@ class DivOp(Operator):
     arity = 2
     commutative = False
     symbol = "/"
-    batchable = True
     rowwise = True
     # Protected against exact 0 only; a subnormal denominator overflows.
     introduces_inf = True
@@ -93,7 +89,6 @@ class _LogicalOp(Operator):
     """Base for two-place logical connectives over booleanized inputs."""
 
     arity = 2
-    batchable = True
     rowwise = True
     abstract_bounds = (0.0, 1.0)
     # `x != 0` is defined for NaN (False), and every connective of a

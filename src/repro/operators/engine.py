@@ -1,4 +1,4 @@
-"""Batched expression-evaluation engine: CSE-cached forest evaluation.
+"""Expression-evaluation engine: CSE-cached, column-at-a-time forest evaluation.
 
 The scalar path (:meth:`Expression.evaluate`) re-walks every tree from the
 leaves for each evaluation — each :class:`Var` re-casts the whole input
@@ -14,7 +14,11 @@ to build the candidate pool, and again on the validation set.
 * each distinct subtree is computed exactly once and shared by every
   expression that contains it (common-subexpression elimination);
 * :func:`evaluate_forest` preallocates the ``(n, k)`` output block and
-  fills it from the cache.
+  fills it from the cache;
+* every operator kernel runs on 1-D child columns, one expression at a
+  time; generation fills the cache through :func:`batch_populate_cache`
+  the same way, so no ``(n, m)`` block of child columns is stacked and
+  no output is copied back out of one.
 
 Cache key / invalidation contract
 ---------------------------------
@@ -108,11 +112,6 @@ class EvalCache:
             self._states[key] = _state_signature(expr)
         return col
 
-    def put(self, expr: Expression, column: np.ndarray) -> None:
-        """Store an externally computed column (the batched generation path)."""
-        self._columns[expr.key] = column
-        self._states[expr.key] = _state_signature(expr)
-
     def retain(self, expressions: "list[Expression] | tuple[Expression, ...]") -> None:
         """Drop every entry not reachable from ``expressions``."""
         keep: set[str] = set()
@@ -150,40 +149,16 @@ class EvalCache:
 def batch_populate_cache(
     cache: EvalCache, expressions: "list[Expression]"
 ) -> None:
-    """Materialize stateless batchable :class:`Applied` columns in batch.
+    """Materialize the columns of ``expressions`` in ``cache``.
 
-    Groups the not-yet-cached stateless nodes by operator and applies
-    each operator once to the stacked ``(n, m)`` block of child columns
-    (m = number of such nodes), storing the resulting columns in
-    ``cache``. Stateful, non-batchable, and already-cached nodes are left
-    for lazy per-expression evaluation. Used by ``generate_features``.
+    One :meth:`EvalCache.column` per expression: each operator kernel runs
+    on 1-D child columns, so no ``(n, m)`` block of children is stacked
+    and no output is copied back out of one. Columns already cached are
+    kept. Used by ``generate_features`` for the stateless expressions of
+    an iteration.
     """
-    groups: dict[str, list[Applied]] = {}
     for expr in expressions:
-        if (
-            isinstance(expr, Applied)
-            and expr.state is None
-            and not expr.operator.is_stateful
-            and expr.operator.batchable
-            and expr not in cache
-        ):
-            groups.setdefault(expr.op_name, []).append(expr)
-    for exprs in groups.values():
-        op = exprs[0].operator
-        blocks = [
-            np.stack([cache.column(e.children[a]) for e in exprs], axis=1)
-            for a in range(op.arity)
-        ]
-        batch = np.asarray(op.apply(None, *blocks), dtype=np.float64)
-        if batch.shape != blocks[0].shape:
-            # Only catches shape-changing kernels; value correctness of a
-            # shape-preserving batch rests on the `batchable` contract.
-            continue
-        for j, expr in enumerate(exprs):
-            # Copy out of the batch so the cache (which can outlive this
-            # call by many iterations) never pins the whole (n, m) block
-            # through a strided view.
-            cache.put(expr, np.ascontiguousarray(batch[:, j]))
+        cache.column(expr)
 
 
 @batched_kernel(oracle="evaluate_expressions")

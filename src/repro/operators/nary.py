@@ -21,7 +21,6 @@ class ConditionalOp(Operator):
     arity = 3
     commutative = False
     symbol = "cond"
-    batchable = True
     rowwise = True
 
     def apply(self, state, a, b, c):
@@ -41,7 +40,6 @@ class _NaryReduceOp(Operator):
     """Base for MAX/MIN/MEAN at a fixed arity."""
 
     commutative = True
-    batchable = True
     rowwise = True
     degenerate_on_equal_children = True  # reduce(x, x, ...) == x
     reducer = None  # type: ignore[assignment]
@@ -56,7 +54,6 @@ class _NaryReduceOp(Operator):
         )
 
     def apply(self, state, *cols):
-        # np.stack (not vstack) so (n, m) batches reduce columnwise too.
         stacked = np.stack([np.asarray(c, dtype=np.float64) for c in cols], axis=0)
         return type(self).reducer(stacked, axis=0)
 

@@ -21,7 +21,6 @@ class LogOp(Operator):
     name = "log"
     arity = 1
     symbol = "log"
-    batchable = True
     rowwise = True
 
     def apply(self, state, x):
@@ -34,7 +33,6 @@ class SqrtOp(Operator):
     name = "sqrt"
     arity = 1
     symbol = "sqrt"
-    batchable = True
     rowwise = True
 
     def apply(self, state, x):
@@ -45,7 +43,6 @@ class SquareOp(Operator):
     name = "square"
     arity = 1
     symbol = "square"
-    batchable = True
     rowwise = True
     abstract_bounds = (0.0, float("inf"))
 
@@ -57,7 +54,6 @@ class SigmoidOp(Operator):
     name = "sigmoid"
     arity = 1
     symbol = "sigmoid"
-    batchable = True
     rowwise = True
     abstract_bounds = (0.0, 1.0)
 
@@ -69,7 +65,6 @@ class TanhOp(Operator):
     name = "tanh"
     arity = 1
     symbol = "tanh"
-    batchable = True
     rowwise = True
     abstract_bounds = (-1.0, 1.0)
 
@@ -81,7 +76,6 @@ class RoundOp(Operator):
     name = "round"
     arity = 1
     symbol = "round"
-    batchable = True
     rowwise = True
 
     def apply(self, state, x):
@@ -92,7 +86,6 @@ class AbsOp(Operator):
     name = "abs"
     arity = 1
     symbol = "abs"
-    batchable = True
     rowwise = True
     abstract_bounds = (0.0, float("inf"))
 
@@ -104,7 +97,6 @@ class NegateOp(Operator):
     name = "neg"
     arity = 1
     symbol = "neg"
-    batchable = True
     rowwise = True
 
     def apply(self, state, x):
@@ -117,7 +109,6 @@ class ReciprocalOp(Operator):
     name = "reciprocal"
     arity = 1
     symbol = "reciprocal"
-    batchable = True
     rowwise = True
     # Protected against exact 0 only; a subnormal input still overflows.
     introduces_inf = True

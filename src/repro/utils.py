@@ -73,13 +73,14 @@ def as_label_vector(y: "np.ndarray | list", n_rows: "int | None" = None) -> np.n
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid."""
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Numerically stable logistic sigmoid.
+
+    ``e = exp(-|z|)`` never overflows: ``1 / (1 + e)`` for ``z >= 0`` and
+    ``e / (1 + e)`` below, one ``exp`` over the whole input.
+    """
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:

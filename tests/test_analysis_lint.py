@@ -259,14 +259,6 @@ class TestKernelContractRules:
         findings = _lint_src(source, tests=[parity_test])
         assert "kernel-parity" not in _rule_ids(findings)
 
-    def test_batchable_operator_outside_the_sweep_fires(self):
-        findings = _lint_src(
-            "class ShinyNewOp:\n"
-            "    name = \"shiny\"\n"
-            "    batchable = True\n"
-        )
-        assert "batchable-parity" in _rule_ids(findings)
-
 
 class TestRobustnessRules:
     def test_bare_except_fires(self):

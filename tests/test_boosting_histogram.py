@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,36 @@ class TestNodeHistogramBuilder:
         block = builder.build_level([np.arange(300)])
         assert block.shape == (2, 1, codes.shape[1], stride)
 
+    def test_all_rows_handle_matches_an_explicit_index(self):
+        from repro.boosting.histogram import NodeHistogramBuilder
+
+        rng = np.random.default_rng(3)
+        codes, stride, grad, hess = self._setup(rng)
+        builder = NodeHistogramBuilder(codes, stride, grad, hess)
+        every = np.arange(codes.shape[0])
+        assert np.array_equal(builder.build_level([None]), builder.build_level([every]))
+
+    def test_all_rows_root_gathers_no_rows(self):
+        # An unsubsampled root reads column slices and the weight vectors
+        # as they are. Beyond the returned block, its peak is one or two
+        # int64 bincount keys, far below gathered copies of the row index
+        # and both weight vectors.
+        from repro.boosting.histogram import NodeHistogramBuilder
+
+        rng = np.random.default_rng(4)
+        n = 200_000
+        codes = rng.integers(0, 64, size=(n, 8), dtype=np.uint8)
+        builder = NodeHistogramBuilder(codes, 64, rng.normal(size=n), rng.random(n))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            block = builder.build_level([None])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        extra = peak - block.nbytes
+        assert extra < 2.5 * 8 * n, f"peak beyond the block {extra / 1e6:.2f} MB"
+
     def test_shape_validation(self):
         from repro.boosting.histogram import NodeHistogramBuilder
 
@@ -173,3 +205,45 @@ class TestNodeHistogramBuilder:
             NodeHistogramBuilder(
                 np.zeros((5, 2), dtype=np.int64), 4, np.zeros(4), np.zeros(4)
             )
+
+
+class TestLevelHistogramRowsParity:
+    """``level_histogram_partial`` with ``rows`` against per-node
+    ``feature_histogram`` over ``codes[rows]``, bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("subset", ["sorted", "empty"])
+    @pytest.mark.parametrize("dtype,stride", [(np.uint8, 40), (np.uint16, 300)])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_matches_per_node_feature_histogram(self, m, subset, dtype, stride, order):
+        from repro.boosting.histogram import level_histogram_partial
+
+        rng = np.random.default_rng(5)
+        n, n_cols = 500, 3
+        codes = np.asarray(
+            rng.integers(0, stride, size=(n, n_cols)), dtype=dtype, order=order
+        )
+        grad = rng.normal(size=n)
+        hess = rng.random(n) + 0.5
+        if subset == "sorted":
+            rows = np.sort(rng.choice(n, size=n // 2, replace=False))
+        else:
+            rows = np.empty(0, dtype=np.int64)
+        node = rng.integers(0, m, size=rows.size)
+        slots = None if m == 1 else node * stride
+        block = level_histogram_partial(
+            codes, slots, grad[rows], hess[rows], m, stride, rows=rows
+        )
+        assert block.shape == (3, m, n_cols, stride)
+        for k in range(m):
+            node_rows = rows[node == k]
+            for j in range(n_cols):
+                g, h, c = feature_histogram(
+                    codes[node_rows, j].astype(np.int64),
+                    grad[node_rows],
+                    hess[node_rows],
+                    stride,
+                )
+                assert np.array_equal(block[0, k, j], g)
+                assert np.array_equal(block[1, k, j], h)
+                assert np.array_equal(block[2, k, j], c)

@@ -169,6 +169,23 @@ class TestSubtractionEquivalence:
         ref = _reference_grow(codes, edges, grad, np.ones_like(grad), **params)
         assert _canonical(tree) == ref
 
+    @pytest.mark.parametrize("kind", ["nan", "inf", "constant", "dupes"])
+    @pytest.mark.parametrize("min_samples_leaf", [0, 3])
+    def test_all_rows_root_matches_an_explicit_index(self, rng, kind, min_samples_leaf):
+        """No ``rows=`` (the root built from column slices) grows the same
+        tree as ``rows=np.arange(n)`` (the root gathered by index)."""
+        X = _awkward_matrices(rng)[kind]
+        grad = rng.normal(size=X.shape[0])
+        hess = 0.25 + 0.1 * rng.random(X.shape[0])
+        codes, edges = quantile_codes_matrix(X, max_bins=32)
+        params = {"max_depth": 5, "min_samples_leaf": min_samples_leaf}
+        whole = Tree(**params).fit(codes, edges, grad, hess)
+        indexed = Tree(**params).fit(
+            codes, edges, grad, hess, rows=np.arange(X.shape[0])
+        )
+        for name in ("feature", "threshold_bin", "value", "gain", "n_samples"):
+            assert np.array_equal(getattr(whole, name), getattr(indexed, name)), name
+
 
 class TestFitLeafIds:
     def test_full_fit_assigns_every_row(self, rng):

@@ -8,6 +8,9 @@ closeness — while computing every distinct subtree once.
 
 from __future__ import annotations
 
+import tracemalloc
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from repro.operators import (
     EvalCache,
     Operator,
     Var,
+    batch_populate_cache,
     evaluate_expressions,
     evaluate_forest,
     fit_applied,
@@ -296,10 +300,9 @@ class TestBatchedGeneration:
 
     def test_non_batchable_stateless_operator_falls_back(self, X):
         class ShareOfTotalOp(Operator):
-            """Row-aggregating stateless op: NOT columnwise-batchable.
-
-            Relies on the conservative ``batchable = False`` default —
-            an extension that never heard of batching must stay correct.
+            """Row-aggregating stateless op: each output row depends on
+            the whole column, so generation must evaluate it on the full
+            child column, once per expression.
             """
 
             name = "share_of_total_test"
@@ -325,6 +328,31 @@ class TestBatchedGeneration:
             _REGISTRY.pop("share_of_total_test", None)
 
 
+class TestPopulateMemory:
+    def test_peak_is_the_produced_columns(self, rng):
+        # Columns are computed one at a time from 1-D children, so the
+        # peak is the produced columns plus one kernel's temporaries; no
+        # (n, m) block of stacked children or outputs is ever allocated.
+        n = 20_000
+        cache = EvalCache(rng.normal(size=(n, 10)))
+        ops = ("add", "sub", "mul", "div")
+        pairs = list(combinations(range(10), 2))[:10]
+        expressions = [
+            Applied(op, (Var(a), Var(b))) for op in ops for a, b in pairs
+        ]
+        assert len({e.key for e in expressions}) == 40
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            batch_populate_cache(cache, expressions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        produced = sum(cache.column(e).nbytes for e in expressions)
+        assert produced == 40 * n * 8
+        assert peak < 1.25 * produced, f"peak {peak / 1e6:.2f} MB"
+
+
 class TestOperatorIntrospection:
     def test_is_stateful_flags(self):
         assert not get_operator("add").is_stateful
@@ -333,24 +361,3 @@ class TestOperatorIntrospection:
         assert get_operator("groupby_avg").is_stateful
         assert get_operator("ridge").is_stateful
         assert get_operator("lag1").is_stateful
-
-    def test_builtin_stateless_ops_are_2d_safe(self, X):
-        # The batchable=True contract: apply on an (n, m) block equals m
-        # independent 1-D applies, for every registered stateless op.
-        from repro.operators import available_operators
-
-        n = X.shape[0]
-        for name in available_operators():
-            op = get_operator(name)
-            if op.is_stateful or not op.batchable:
-                continue
-            cols = [np.ascontiguousarray(X[:, a % 6]) for a in range(op.arity)]
-            blocks = [np.stack([c, c[::-1]], axis=1) for c in cols]
-            batch = np.asarray(op.apply(None, *blocks), dtype=np.float64)
-            assert batch.shape == (n, 2), name
-            one = np.asarray(op.apply(None, *cols), dtype=np.float64)
-            rev = np.asarray(
-                op.apply(None, *[c[::-1] for c in cols]), dtype=np.float64
-            )
-            assert identical(batch[:, 0], one), name
-            assert identical(batch[:, 1], rev), name

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import DataError
 from repro.utils import (
@@ -94,6 +96,34 @@ class TestSigmoid:
     def test_symmetry(self):
         z = np.linspace(-5, 5, 11)
         assert np.allclose(sigmoid(z) + sigmoid(-z), 1.0)
+
+    @staticmethod
+    def _masked_reference(z):
+        """The two-gather, two-scatter formula, kept as the reference."""
+        out = np.empty_like(z, dtype=np.float64)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.floats(-800.0, 800.0),
+                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 745.2, -745.2]),
+            ),
+            max_size=64,
+        )
+    )
+    def test_bit_identical_to_the_masked_formula(self, values):
+        z = np.asarray(values, dtype=np.float64)
+        got, want = sigmoid(z), self._masked_reference(z)
+        real = ~np.isnan(z)
+        assert np.array_equal(got[real].view(np.uint64), want[real].view(np.uint64))
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestSoftmax:
