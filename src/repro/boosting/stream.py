@@ -79,6 +79,9 @@ _SCRATCH_ROWS = 1 << 18
 
 
 #: Persisted per-tree array attributes; together they define a fitted tree.
+#: ``Tree.tie_in_feature`` is deliberately absent: a restored tree has no
+#: tie flags and is never carried over to a refit, so the snapshot shape
+#: (and ``STATS_FORMAT``) stays as it was.
 _TREE_FIELDS = (
     "feature",
     "threshold",
@@ -105,6 +108,8 @@ def _tree_state(tree: Tree) -> dict:
 
 
 def _tree_from_state(model: GradientBoostingClassifier, state: dict) -> Tree:
+    """A snapshotted tree. ``tie_in_feature`` is not persisted, so it stays
+    ``None`` and the restored tree is never carried over to a refit."""
     tree = Tree(
         max_depth=model.max_depth,
         min_samples_leaf=model.min_samples_leaf,
@@ -112,6 +117,7 @@ def _tree_from_state(model: GradientBoostingClassifier, state: dict) -> Tree:
         reg_lambda=model.reg_lambda,
         gamma=model.gamma,
         colsample=model.colsample,
+        tie_rtol=model.tie_rtol,
     )
     for name in _TREE_FIELDS:
         setattr(tree, name, np.asarray(state[name]))
@@ -479,6 +485,7 @@ def _grow_tree_streaming(
                 "value": -g_sum / (h_sum + lam),  # repro: ignore[div-guard] h_sum >= 0 and reg_lambda > 0
                 "gain": 0.0,
                 "n_samples": n_samples,
+                "tie_in_feature": False,
                 "_depth": depth,
                 "_gsum": g_sum,
                 "_hsum": h_sum,
@@ -510,7 +517,7 @@ def _grow_tree_streaming(
         scheduler.begin_level()
         split_parents: "list[int]" = []
         for group_i, (ids, block) in enumerate(groups):
-            best_flat, best_gains = level_split_search(
+            best_flat, best_gains, tie_flags = level_split_search(
                 block,
                 np.array([nodes[i]["_gsum"] for i in ids]),
                 np.array([nodes[i]["_hsum"] for i in ids]),
@@ -542,6 +549,7 @@ def _grow_tree_streaming(
                 )
                 node["threshold_bin"] = b
                 node["gain"] = best_gain
+                node["tie_in_feature"] = bool(tie_flags[pos])
                 left_id = new_node(node["_depth"] + 1, gl, hl, n_left)
                 right_id = new_node(
                     node["_depth"] + 1, node["_gsum"] - gl, node["_hsum"] - hl, n_right
@@ -586,6 +594,7 @@ def _grow_tree_streaming(
         reg_lambda=lam,
         gamma=model.gamma,
         colsample=model.colsample,
+        tie_rtol=model.tie_rtol,
     )
     tree.feature = np.array([n["feature"] for n in nodes], dtype=np.int64)
     tree.threshold = np.array([n["threshold"] for n in nodes], dtype=np.float64)
@@ -595,5 +604,6 @@ def _grow_tree_streaming(
     tree.value = np.array([n["value"] for n in nodes], dtype=np.float64)
     tree.gain = np.array([n["gain"] for n in nodes], dtype=np.float64)
     tree.n_samples = np.array([n["n_samples"] for n in nodes], dtype=np.int64)
+    tree.tie_in_feature = np.array([n["tie_in_feature"] for n in nodes], dtype=bool)
     tree.fit_leaf_ids_ = None
     return tree

@@ -73,6 +73,28 @@ class TreePath:
     def __len__(self) -> int:
         return len(self.features)
 
+    def to_dict(self) -> dict:
+        """JSON form. Split values are ``float.hex()`` strings, so the
+        round trip is bit-exact, ``+inf`` thresholds included."""
+        return {
+            "features": list(self.features),
+            "split_values": [
+                [f, [float(v).hex() for v in values]]
+                for f, values in self.split_values.items()
+            ],
+        }
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "TreePath":
+        """Inverse of :meth:`to_dict`."""
+        return cls(
+            features=tuple(int(f) for f in payload["features"]),
+            split_values={
+                int(f): tuple(float.fromhex(v) for v in values)
+                for f, values in payload["split_values"]
+            },
+        )
+
 
 def level_split_search(
     block: np.ndarray,
@@ -87,7 +109,7 @@ def level_split_search(
     with_counts: bool,
     col_mask: "np.ndarray | None" = None,
     tie_rtol: float = 0.0,
-) -> "tuple[np.ndarray, np.ndarray]":
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """Best split per node from one level's histogram block.
 
     ``block`` is the ``(n_channels, m, n_cols, stride)`` histogram block of
@@ -99,14 +121,17 @@ def level_split_search(
     ``col_mask`` (``(m, n_cols)`` bool) optionally restricts each node's
     searchable columns (colsample).
 
-    Returns ``(best_flat, best_gains)``: per node the flat
-    ``j * stride + b`` index of the best boundary and its gain (``-inf``
-    when no boundary is valid). With the default ``tie_rtol=0`` the
-    winner is the bare argmax — the historical behavior every model
-    outside the SAFE fit keeps. With ``tie_rtol > 0`` (the SAFE miners
-    pass :data:`GAIN_TIE_RTOL`), a splittable node's winner is instead
-    the *last* flat index (in (feature, bin) order) whose gain is within
-    ``tie_rtol`` relative of the maximum: SAFE candidate pools routinely
+    Returns ``(best_flat, best_gains, tie_in_feature)``: per node the
+    flat ``j * stride + b`` index of the best boundary, its gain
+    (``-inf`` when no boundary is valid), and whether the node's near-tie
+    set lies inside the winning feature ``j`` (always ``False`` with
+    ``tie_rtol=0`` and for nodes that cannot split). With the default
+    ``tie_rtol=0`` the winner is the bare argmax — the historical
+    behavior every model outside the SAFE fit keeps. With
+    ``tie_rtol > 0`` (the SAFE miners pass :data:`GAIN_TIE_RTOL`), a
+    splittable node's winner is instead the *last* flat index (in
+    (feature, bin) order) whose gain is within ``tie_rtol`` relative of
+    the maximum — the node's *near-tie set*: SAFE candidate pools routinely
     contain equal-valued columns under different expressions, whose
     mathematically tied gains round differently depending on summation
     grouping, so a strict argmax would let the last ulp pick the winner
@@ -116,6 +141,12 @@ def level_split_search(
     order whenever the two paths agree to ``tie_rtol``, which the
     mergeable-kernel contract guarantees; both growers share this exact
     search, so their merged histogram blocks resolve identically.
+
+    When the near-tie set lies inside one feature, the pick is the same
+    for any column subset that keeps the feature and in any column order
+    (every gain is elementwise per (node, column, bin)). That is what
+    lets :func:`repro.boosting.carry.carried_paths` reuse a fitted
+    model's trees for a refit on its surviving columns.
     """
     m = block.shape[1]
     prefix = np.cumsum(block, axis=-1)
@@ -149,6 +180,7 @@ def level_split_search(
     flat_gains = gains.reshape(m, -1)
     best_flat = np.argmax(flat_gains, axis=1)
     best_gains = flat_gains[np.arange(m), best_flat]
+    tie_in_feature = np.zeros(m, dtype=bool)
     if tie_rtol > 0.0:
         # Deterministic near-tie break: among boundaries within tie_rtol
         # relative of the node's max gain, take the highest flat index.
@@ -160,9 +192,14 @@ def level_split_search(
             )
             mask = flat_gains >= thresholds[:, None]
             tied_last = mask.shape[1] - 1 - np.argmax(mask[:, ::-1], axis=1)
+            tied_first = np.argmax(mask, axis=1)
+            stride = block.shape[-1]
+            tie_in_feature = splittable & (
+                tied_first // stride == tied_last // stride
+            )
             best_flat = np.where(splittable, tied_last, best_flat)
             best_gains = flat_gains[np.arange(m), best_flat]
-    return best_flat, best_gains
+    return best_flat, best_gains, tie_in_feature
 
 
 @dataclass
@@ -193,6 +230,13 @@ class Tree:
     value: np.ndarray = field(default=None, repr=False)
     gain: np.ndarray = field(default=None, repr=False)
     n_samples: np.ndarray = field(default=None, repr=False)
+    #: Per node: ``True`` when the node splits and its near-tie set lay
+    #: inside the split feature (see :func:`level_split_search`);
+    #: ``False`` for leaves and for every node of a ``tie_rtol == 0``
+    #: tree. ``None`` on a tree restored from a stats snapshot, which
+    #: does not persist it, so such a tree is never carried over to a
+    #: refit (:func:`repro.boosting.carry.carried_paths`).
+    tie_in_feature: np.ndarray = field(default=None, repr=False)
     # Fit-time leaf assignment: ``fit_leaf_ids_[row]`` is the leaf node id
     # of every row that was in the training partition, -1 for rows the
     # caller excluded via ``rows=`` (subsampling). Consumed by the
@@ -264,6 +308,7 @@ class Tree:
                     "value": -g_sum / (h_sum + self.reg_lambda),  # repro: ignore[div-guard] h_sum >= 0 and reg_lambda > 0
                     "gain": 0.0,
                     "n_samples": idx.size,
+                    "tie_in_feature": False,
                     "_depth": depth,
                     "_idx": idx,
                     "_gsum": g_sum,
@@ -319,7 +364,7 @@ class Tree:
                         col_mask[pos, keep_cols] = True
                 else:
                     col_mask = None
-                best_flat, best_gains = level_split_search(
+                best_flat, best_gains, tie_flags = level_split_search(
                     block,
                     g_sums,
                     h_sums,
@@ -356,6 +401,7 @@ class Tree:
                     node["threshold"] = threshold
                     node["threshold_bin"] = b
                     node["gain"] = best_gain
+                    node["tie_in_feature"] = bool(tie_flags[pos])
                     left_id = new_node(node["_depth"] + 1, left_idx)
                     right_id = new_node(node["_depth"] + 1, right_idx)
                     node["left"] = left_id
@@ -376,6 +422,9 @@ class Tree:
         self.value = np.array([n["value"] for n in nodes], dtype=np.float64)
         self.gain = np.array([n["gain"] for n in nodes], dtype=np.float64)
         self.n_samples = np.array([n["n_samples"] for n in nodes], dtype=np.int64)
+        self.tie_in_feature = np.array(
+            [n["tie_in_feature"] for n in nodes], dtype=bool
+        )
         self.fit_leaf_ids_ = np.full(n_rows, -1, dtype=np.int64)
         for i, n in enumerate(nodes):
             if n["feature"] == -1:

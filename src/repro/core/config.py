@@ -49,7 +49,12 @@ class SAFEConfig:
         Size of the combination-mining GBM (K₁/D₁ in the complexity
         analysis — the lever Eq. 13 says controls total cost).
     ranking_*:
-        Size of the importance-ranking GBM (K₂/D₂).
+        Size of the importance-ranking GBM (K₂/D₂). Equal mining and
+        ranking sizes (and ``mining_learning_rate`` equal to the GBM
+        default 0.3, as by default) let iteration t+1 reuse iteration
+        t's ranking trees as its mining trees whenever a refit would
+        grow them again, which skips up to k − 1 of a k-iteration fit's
+        2k GBM fits (see :mod:`repro.boosting.carry`).
     keep_originals:
         Always retain original features in the candidate pool (they can
         still be dropped by selection, as in the paper).

@@ -58,6 +58,22 @@ class RankedCombination:
     gain_ratio: float
 
 
+def mining_model(
+    n_estimators: int,
+    max_depth: int,
+    learning_rate: float,
+    random_state: "int | None",
+) -> GradientBoostingClassifier:
+    """The unfitted path-mining GBM (Algorithm 1 line 3)."""
+    return GradientBoostingClassifier(
+        n_estimators=n_estimators,
+        max_depth=max_depth,
+        learning_rate=learning_rate,
+        random_state=random_state,
+        tie_rtol=GAIN_TIE_RTOL,
+    )
+
+
 def fit_mining_model(
     X: np.ndarray,
     y: np.ndarray,
@@ -68,13 +84,7 @@ def fit_mining_model(
     random_state: "int | None",
 ) -> GradientBoostingClassifier:
     """Train the path-mining GBM (Algorithm 1 line 3)."""
-    model = GradientBoostingClassifier(
-        n_estimators=n_estimators,
-        max_depth=max_depth,
-        learning_rate=learning_rate,
-        random_state=random_state,
-        tie_rtol=GAIN_TIE_RTOL,
-    )
+    model = mining_model(n_estimators, max_depth, learning_rate, random_state)
     model.fit(X, y, eval_set=eval_set)
     return model
 

@@ -2,7 +2,13 @@
 
 Each iteration:
 
-1. train the mining GBM on the current feature set (line 3);
+1. train the mining GBM on the current feature set (line 3) — unless
+   the previous iteration's ranking GBM already grew its trees: the
+   current features are that GBM's top survivors, so when both GBMs
+   share their hyperparameters and every split of the ranking GBM is
+   certified column-set independent
+   (:func:`repro.boosting.carry.carried_paths`), its re-indexed paths
+   stand in for the refit, bit-identical to what the refit would give;
 2. form feature combinations from same-path split features (line 4);
 3. sort combinations by information gain ratio, keep top γ (line 5);
 4. apply the operator set to the surviving combinations (line 6);
@@ -23,6 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..boosting.carry import hyperparameters
+from ..boosting.gbm import GradientBoostingClassifier
+from ..boosting.tree import TreePath
 from ..exceptions import DataError
 from ..operators.engine import EvalCache, evaluate_forest
 from ..operators.expressions import Expression, Var
@@ -42,6 +51,7 @@ from .generation import (
     combinations_from_paths,
     fit_mining_model,
     generate_features,
+    mining_model,
     rank_combinations,
 )
 from .interface import AutoFeatureEngineer
@@ -55,7 +65,9 @@ class IterationTrace:
 
     ``selection`` is ``None`` on traces restored from a checkpoint (only
     the scalar counters are persisted); live iterations always carry the
-    full :class:`SelectionReport`.
+    full :class:`SelectionReport`. ``mining_reused`` says the iteration
+    took its paths from the previous iteration's ranking GBM instead of
+    fitting a mining GBM.
     """
 
     iteration: int
@@ -66,6 +78,7 @@ class IterationTrace:
     selection: "SelectionReport | None"
     elapsed_seconds: float
     n_quarantined: int = 0
+    mining_reused: bool = False
 
 
 def _trace_scalars(trace: IterationTrace) -> dict:
@@ -78,6 +91,7 @@ def _trace_scalars(trace: IterationTrace) -> dict:
         "n_candidates": trace.n_candidates,
         "elapsed_seconds": trace.elapsed_seconds,
         "n_quarantined": trace.n_quarantined,
+        "mining_reused": trace.mining_reused,
     }
 
 
@@ -92,7 +106,25 @@ def _trace_from_scalars(payload: dict) -> IterationTrace:
         selection=None,
         elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
         n_quarantined=int(payload.get("n_quarantined", 0)),
+        mining_reused=bool(payload.get("mining_reused", False)),
     )
+
+
+def _next_mining_paths(
+    report: SelectionReport, miner: GradientBoostingClassifier
+) -> "list[TreePath] | None":
+    """The paths the next iteration's mining GBM would grow, if known.
+
+    The next mining GBM fits on ``report``'s survivors, the ranking GBM's
+    top columns, with the same rows and labels. It regrows the ranking
+    GBM's trees when it also has the ranking GBM's hyperparameters —
+    compared on the built models (``miner`` is an unfitted mining GBM),
+    since the ranking learning rate is the GBM default and the mining
+    one a config field — and ``report.carried_paths`` certified them.
+    """
+    if report.ranking_hyperparameters != hyperparameters(miner):
+        return None
+    return report.carried_paths
 
 
 @dataclass
@@ -135,7 +167,10 @@ class SAFE(AutoFeatureEngineer):
         producing the same Ψ as an uninterrupted run (iterations are
         deterministic functions of the restored expressions, the data,
         and the seed). Corrupt or mismatched checkpoints are skipped
-        (recorded on :attr:`runtime_report_`), never trusted.
+        (recorded on :attr:`runtime_report_`), never trusted. A
+        checkpoint also holds the paths the next iteration's mining GBM
+        would grow, when they are known, so a resumed fit skips the same
+        mining fit an uninterrupted one does.
         """
         if isinstance(train, ChunkedDataset):
             from .stream import fit_safe_streaming
@@ -169,6 +204,16 @@ class SAFE(AutoFeatureEngineer):
         runtime_report = RuntimeReport()
         self.runtime_report_ = runtime_report
         fingerprint = config_fingerprint(cfg, train.names)
+        mining_params = {
+            "n_estimators": cfg.mining_n_estimators,
+            "max_depth": cfg.mining_max_depth,
+            "learning_rate": cfg.mining_learning_rate,
+            "random_state": cfg.random_state,
+        }
+        miner = mining_model(**mining_params)
+        # Paths of the previous ranking GBM that this iteration's mining
+        # GBM would regrow (see _next_mining_paths); None means fit it.
+        carried: "list[TreePath] | None" = None
         start_iteration = 0
         manager: "CheckpointManager | None" = None
         if checkpoint_dir is not None:
@@ -183,6 +228,7 @@ class SAFE(AutoFeatureEngineer):
                 start_iteration = state.iteration + 1
                 runtime_report.resumed_from_iteration = state.iteration
                 self.traces_ = [_trace_from_scalars(t) for t in state.traces]
+                carried = state.carried_paths
                 X_cur = evaluate_forest(expressions, cache=train_cache)
                 if valid_cache is not None:
                     X_valid_cur = evaluate_forest(expressions, cache=valid_cache)
@@ -202,16 +248,11 @@ class SAFE(AutoFeatureEngineer):
                 eval_set = (clean_matrix(X_valid_cur, copy=False), y_valid)
 
             # -- Generation --------------------------------------------
-            mining = fit_mining_model(
-                X_fit,
-                y,
-                eval_set,
-                n_estimators=cfg.mining_n_estimators,
-                max_depth=cfg.mining_max_depth,
-                learning_rate=cfg.mining_learning_rate,
-                random_state=cfg.random_state,
-            )
-            paths = mining.paths()
+            mining_reused = carried is not None
+            if mining_reused:
+                paths = carried
+            else:
+                paths = fit_mining_model(X_fit, y, eval_set, **mining_params).paths()
             combos = combinations_from_paths(
                 paths, max_size=cfg.max_combination_size
             )
@@ -278,6 +319,7 @@ class SAFE(AutoFeatureEngineer):
             train_cache.retain(expressions)
             if valid_cache is not None:
                 valid_cache.retain(expressions)
+            carried = _next_mining_paths(report, miner)
             self.traces_.append(
                 IterationTrace(
                     iteration=iteration,
@@ -288,6 +330,7 @@ class SAFE(AutoFeatureEngineer):
                     selection=report,
                     elapsed_seconds=iter_timer.elapsed(),
                     n_quarantined=len(quarantined) if quarantined else 0,
+                    mining_reused=mining_reused,
                 )
             )
             if manager is not None:
@@ -296,6 +339,7 @@ class SAFE(AutoFeatureEngineer):
                     expressions,
                     fingerprint,
                     traces=[_trace_scalars(t) for t in self.traces_],
+                    carried_paths=carried,
                 )
                 runtime_report.checkpoints_written += 1
             # Chaos hook: lets tests kill the fit between iterations (after

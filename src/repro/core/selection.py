@@ -19,16 +19,22 @@ Three computationally-cheap stages, applied in order:
    O(k^2 * n) time and O(k^2) memory, with identical kept indices.
 3. :func:`rank_by_importance` — order survivors by the ranking GBM's
    average split gain and truncate to the output budget.
+
+The report also hands the driver what it needs of the fitted ranking
+GBM to skip the next iteration's mining GBM: its hyperparameters, and the
+paths a refit on the survivors would give
+(:func:`repro.boosting.carry.carried_paths`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..boosting.carry import carried_paths, hyperparameters
 from ..boosting.gbm import GradientBoostingClassifier
-from ..boosting.tree import GAIN_TIE_RTOL
+from ..boosting.tree import GAIN_TIE_RTOL, TreePath
 from ..exceptions import DataError
 from ..metrics.information import information_values
 from ..runtime.failpoints import failpoint
@@ -37,13 +43,29 @@ from .redundancy import DEFAULT_BLOCK_SIZE, remove_redundant_features_blocked
 
 @dataclass(frozen=True)
 class SelectionReport:
-    """Bookkeeping of one pass through the three selection stages."""
+    """Bookkeeping of one pass through the three selection stages.
+
+    ``ranking_hyperparameters`` are the fitted stage-3 GBM's settings
+    (:func:`~repro.boosting.carry.hyperparameters`), and
+    ``carried_paths`` is :func:`~repro.boosting.carry.carried_paths` of
+    that GBM on ``final_order``: the paths a GBM with those settings,
+    refit on the survivors in ``final_order``, would give, or ``None``
+    when the refit could grow other trees. The report keeps these rather
+    than the model, so traces do not hold every iteration's tree arrays.
+    Neither takes part in equality.
+    """
 
     n_candidates: int
     kept_after_iv: tuple[int, ...]
     kept_after_redundancy: tuple[int, ...]
     final_order: tuple[int, ...]
     information_values: tuple[float, ...]
+    ranking_hyperparameters: "dict | None" = field(
+        default=None, repr=False, compare=False
+    )
+    carried_paths: "list[TreePath] | None" = field(
+        default=None, repr=False, compare=False
+    )
 
 
 def information_values_safe(X: np.ndarray, y: np.ndarray, n_bins: int) -> np.ndarray:
@@ -110,11 +132,12 @@ def rank_by_importance(
     max_depth: int,
     top_k: "int | None",
     random_state: "int | None",
-) -> np.ndarray:
+) -> "tuple[np.ndarray, GradientBoostingClassifier]":
     """Stage 3: order columns by GBM average split gain, truncate to top_k.
 
     Columns the model never split on inherit importance 0 and sort last;
-    ties break by column order. Returns column indices, best first.
+    ties break by column order. Returns ``(order, model)``: column
+    indices, best first, and the fitted ranking GBM.
     """
     model = GradientBoostingClassifier(
         n_estimators=n_estimators,
@@ -127,7 +150,7 @@ def rank_by_importance(
     order = np.lexsort((np.arange(importance.size), -importance))
     if top_k is not None:
         order = order[:top_k]
-    return order
+    return order, model
 
 
 def select_features(
@@ -157,7 +180,7 @@ def select_features(
     eval_sub = None
     if eval_set is not None:
         eval_sub = (eval_set[0][:, kept_red], eval_set[1])
-    order_local = rank_by_importance(
+    order_local, ranking = rank_by_importance(
         sub2,
         y,
         eval_sub,
@@ -173,4 +196,6 @@ def select_features(
         kept_after_redundancy=tuple(int(i) for i in kept_red),
         final_order=tuple(int(i) for i in final),
         information_values=tuple(float(v) for v in ivs),
+        ranking_hyperparameters=hyperparameters(ranking),
+        carried_paths=carried_paths(ranking, order_local),
     )

@@ -11,7 +11,14 @@ points are one-chunk callers of:
 * the mining and ranking GBMs stream through
   :func:`~repro.boosting.stream.fit_gbm_streaming` (the ranking GBM's
   edges come from the IV filter's sketches, so it skips its own sketch
-  pass);
+  pass). From the second iteration on, the mining GBM is skipped — two
+  passes and its tree snapshots — whenever the previous ranking GBM's
+  paths are certified to be what it would grow (as in the in-memory
+  driver, :func:`repro.boosting.carry.carried_paths`). That holds here
+  too because the mining GBM's own sketch pass would rebuild, for every
+  survivor, exactly the sketch the ``sel-edges`` pass built: each
+  column's sketch sees the same chunk values in the same order, so its
+  edges are the ranking GBM's;
 * combination ranking merges :func:`~repro.core.scoring.combination_count_partial`
   cells and finalizes with the shared gain-ratio arithmetic;
 * the IV filter merges :func:`~repro.metrics.batched.iv_bin_counts`
@@ -45,6 +52,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..boosting.carry import carried_paths, hyperparameters
 from ..boosting.gbm import GradientBoostingClassifier
 from ..boosting.stream import fit_gbm_streaming
 from ..boosting.tree import GAIN_TIE_RTOL
@@ -66,8 +74,18 @@ from ..tabular.binning import DEFAULT_SKETCH_CAPACITY, streamed_quantile_edges
 from ..tabular.io import ChunkedDataset
 from ..tabular.preprocess import clean_matrix
 from ..utils import Timer, as_label_vector
-from .generation import combinations_from_paths, plan_features, rank_from_scores
-from .pipeline import IterationTrace, _trace_from_scalars, _trace_scalars
+from .generation import (
+    combinations_from_paths,
+    mining_model,
+    plan_features,
+    rank_from_scores,
+)
+from .pipeline import (
+    IterationTrace,
+    _next_mining_paths,
+    _trace_from_scalars,
+    _trace_scalars,
+)
 from .redundancy import (
     centered_gram_partial,
     column_moments_partial,
@@ -362,6 +380,8 @@ def _select_streamed(
         kept_after_redundancy=tuple(int(i) for i in kept_red),
         final_order=tuple(int(i) for i in final),
         information_values=tuple(float(v) for v in ivs),
+        ranking_hyperparameters=hyperparameters(ranking),
+        carried_paths=carried_paths(ranking, order_local),
     )
 
 
@@ -378,7 +398,9 @@ def fit_safe_streaming(
     :meth:`SAFE.fit` dispatches here when handed a
     :class:`~repro.tabular.ChunkedDataset`. Checkpoint/resume semantics
     match the in-memory fit (the persisted state is the survivor
-    expressions, which need no matrix to restore).
+    expressions, which need no matrix to restore, plus any carried
+    mining paths, so a resumed fit makes exactly the passes an
+    uninterrupted one has left).
     """
     cfg = safe.config
     if valid is not None:
@@ -404,6 +426,9 @@ def fit_safe_streaming(
     safe.runtime_report_ = runtime_report
     runtime_report.chunks_quarantined.extend(train.quarantined_chunks())
     fingerprint = config_fingerprint(cfg, train.names)
+    # Paths of the previous ranking GBM that this iteration's mining GBM
+    # would regrow (see _next_mining_paths); None means fit it.
+    carried = None
     start_iteration = 0
     manager: "CheckpointManager | None" = None
     stats_store: "StatsCheckpointStore | None" = None
@@ -416,6 +441,7 @@ def fit_safe_streaming(
             start_iteration = state.iteration + 1
             runtime_report.resumed_from_iteration = state.iteration
             safe.traces_ = [_trace_from_scalars(t) for t in state.traces]
+            carried = state.carried_paths
         stats_store = StatsCheckpointStore(
             manager.directory / "stats", fingerprint
         )
@@ -435,22 +461,25 @@ def fit_safe_streaming(
         )
 
         # -- Generation --------------------------------------------------
-        mining = GradientBoostingClassifier(
-            n_estimators=cfg.mining_n_estimators,
-            max_depth=cfg.mining_max_depth,
-            learning_rate=cfg.mining_learning_rate,
-            random_state=cfg.random_state,
-            tie_rtol=GAIN_TIE_RTOL,
+        mining = mining_model(
+            cfg.mining_n_estimators,
+            cfg.mining_max_depth,
+            cfg.mining_learning_rate,
+            cfg.random_state,
         )
-        fit_gbm_streaming(
-            mining,
-            chunks_cur,
-            n_rows,
-            len(expressions),
-            sketch=cfg.sketch,
-            stats=None if it_stats is None else it_stats.scoped("mine-gbm"),
-        )
-        paths = mining.paths()
+        mining_reused = carried is not None
+        if mining_reused:
+            paths = carried
+        else:
+            fit_gbm_streaming(
+                mining,
+                chunks_cur,
+                n_rows,
+                len(expressions),
+                sketch=cfg.sketch,
+                stats=None if it_stats is None else it_stats.scoped("mine-gbm"),
+            )
+            paths = mining.paths()
         combos = combinations_from_paths(paths, max_size=cfg.max_combination_size)
         ranked = _rank_combinations_streamed(
             chunks_cur, combos, cfg.gamma, n_rows, n_pos, stats=it_stats
@@ -478,6 +507,7 @@ def fit_safe_streaming(
         if not chosen:
             break
         expressions = [candidates[i] for i in chosen]
+        carried = _next_mining_paths(report, mining)
         safe.traces_.append(
             IterationTrace(
                 iteration=iteration,
@@ -488,6 +518,7 @@ def fit_safe_streaming(
                 selection=report,
                 elapsed_seconds=iter_timer.elapsed(),
                 n_quarantined=len(quarantined) if quarantined else 0,
+                mining_reused=mining_reused,
             )
         )
         if manager is not None:
@@ -496,6 +527,7 @@ def fit_safe_streaming(
                 expressions,
                 fingerprint,
                 traces=[_trace_scalars(t) for t in safe.traces_],
+                carried_paths=carried,
             )
             runtime_report.checkpoints_written += 1
             # The iteration's survivors are durable; its mid-iteration

@@ -3,7 +3,12 @@
 After every completed Algorithm 1 iteration the pipeline can persist the
 survivor expressions (the same JSON rendering
 :meth:`repro.core.FeatureTransformer.save` uses), a fingerprint of the
-config + input schema, and the iteration trace scalars. A restarted fit
+config + input schema, the iteration trace scalars and, under the
+optional ``carried_paths`` key, the tree paths the next iteration's
+mining GBM would grow (:meth:`repro.boosting.tree.TreePath.to_dict`,
+floats ``float.hex()``-encoded, so ``+inf`` thresholds round-trip
+bit-exactly). A checkpoint without the key resumes by fitting that
+mining GBM, with the same Ψ. A restarted fit
 with the same ``checkpoint_dir`` resumes from the newest checkpoint that
 
 * parses as JSON,
@@ -83,6 +88,9 @@ class CheckpointState:
     config_hash: str
     traces: tuple[dict, ...]
     path: str
+    #: Paths (``TreePath``) the next iteration's mining GBM would grow;
+    #: ``None`` when the checkpoint holds none.
+    carried_paths: "list | None" = None
 
 
 class CheckpointManager:
@@ -106,8 +114,13 @@ class CheckpointManager:
         expressions: Sequence[Expression],
         config_hash: str,
         traces: Sequence[dict] = (),
+        carried_paths: "Sequence | None" = None,
     ) -> Path:
-        """Atomically persist the state after ``iteration`` (0-based)."""
+        """Atomically persist the state after ``iteration`` (0-based).
+
+        ``carried_paths`` (``TreePath`` objects) goes under an optional
+        payload key, covered by the checksum like the rest.
+        """
         payload = {
             "format": CHECKPOINT_FORMAT,
             "iteration": int(iteration),
@@ -115,6 +128,8 @@ class CheckpointManager:
             "expressions": [e.to_dict() for e in expressions],
             "traces": [dict(t) for t in traces],
         }
+        if carried_paths is not None:
+            payload["carried_paths"] = [p.to_dict() for p in carried_paths]
         record = {
             "checksum": _sha256(json.dumps(payload, sort_keys=True)),
             "payload": payload,
@@ -184,12 +199,26 @@ class CheckpointManager:
             ) from exc
         if not expressions:
             raise CheckpointError(f"checkpoint {path} holds no expressions")
+        carried_paths = None
+        if payload.get("carried_paths") is not None:
+            # Imported here: repro.boosting imports this module.
+            from ..boosting.tree import TreePath
+
+            try:
+                carried_paths = [
+                    TreePath.from_dict(p) for p in payload["carried_paths"]
+                ]
+            except Exception as exc:
+                raise CheckpointError(
+                    f"checkpoint {path} holds undecodable carried paths: {exc!r}"
+                ) from exc
         return CheckpointState(
             iteration=int(payload["iteration"]),
             expressions=expressions,
             config_hash=config_hash,
             traces=tuple(payload.get("traces", ())),
             path=str(path),
+            carried_paths=carried_paths,
         )
 
     def latest(

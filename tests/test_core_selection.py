@@ -234,7 +234,7 @@ class TestImportanceRanking:
     def test_informative_first(self, rng):
         X = rng.normal(size=(2000, 4))
         y = (X[:, 2] > 0).astype(float)
-        order = rank_by_importance(
+        order, _ = rank_by_importance(
             X, y, None, n_estimators=10, max_depth=3, top_k=None, random_state=0
         )
         assert order[0] == 2
@@ -242,7 +242,7 @@ class TestImportanceRanking:
     def test_top_k_truncates(self, rng):
         X = rng.normal(size=(500, 6))
         y = (X[:, 0] > 0).astype(float)
-        order = rank_by_importance(
+        order, _ = rank_by_importance(
             X, y, None, n_estimators=5, max_depth=3, top_k=2, random_state=0
         )
         assert order.size == 2

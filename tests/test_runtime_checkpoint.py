@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.boosting.tree import TreePath
 from repro.core import SAFEConfig
 from repro.exceptions import CheckpointError, InjectedFault
 from repro.operators.expressions import Applied, Var
@@ -27,6 +28,13 @@ def _clean_failpoints():
 
 NAMES = ("a", "b", "c")
 EXPRS = [Var(0), Var(2), Applied("add", (Var(0), Var(1)), None)]
+#: Carried mining paths with every awkward threshold a tree can hold:
+#: ``+inf`` (the real-vs-missing split), ``-0.0``, subnormal, and values
+#: whose decimal form does not round-trip in fewer than 17 digits.
+PATHS = [
+    TreePath(features=(2, 0), split_values={2: (float("inf"),), 0: (0.1, -0.0)}),
+    TreePath(features=(1,), split_values={1: (5e-324, 1 / 3, -1e300)}),
+]
 
 
 class TestFingerprints:
@@ -62,6 +70,34 @@ class TestSaveLoad:
         assert state.config_hash == "cfg-hash"
         assert [e.key for e in state.expressions] == [e.key for e in EXPRS]
         assert state.traces == ({"iteration": 0, "n_generated": 4},)
+
+    def test_carried_paths_round_trip_bit_exactly(self, tmp_path):
+        manager = CheckpointManager(tmp_path)
+        path = manager.save(0, EXPRS, "cfg-hash", carried_paths=PATHS)
+        state = manager.load(path)
+        assert [p.features for p in state.carried_paths] == [p.features for p in PATHS]
+        for got, want in zip(state.carried_paths, PATHS):
+            assert list(got.split_values) == list(want.split_values)
+            for f, values in want.split_values.items():
+                assert [v.hex() for v in got.split_values[f]] == [
+                    v.hex() for v in values
+                ]
+
+    def test_checkpoint_without_carried_paths_loads_none(self, tmp_path):
+        manager = CheckpointManager(tmp_path)
+        path = manager.save(0, EXPRS, "cfg-hash")
+        assert "carried_paths" not in json.loads(path.read_text())["payload"]
+        assert manager.load(path).carried_paths is None
+
+    def test_checksum_covers_carried_paths(self, tmp_path):
+        manager = CheckpointManager(tmp_path)
+        path = manager.save(0, EXPRS, "cfg-hash", carried_paths=PATHS)
+        record = json.loads(path.read_text())
+        record["payload"]["carried_paths"][0]["features"] = [0, 2]
+        path.write_text(json.dumps(record))
+        state, skipped = manager.latest()
+        assert state is None
+        assert len(skipped) == 1 and "checksum" in skipped[0]
 
     def test_expected_config_hash_gates_the_load(self, tmp_path):
         manager = CheckpointManager(tmp_path)
