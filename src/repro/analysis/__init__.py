@@ -4,8 +4,9 @@ Two halves (see ISSUE 6 / ROADMAP):
 
 * the **AST lint framework** (`run_lint`, exposed as
   ``python -m repro lint``) — codebase-specific rules enforcing the
-  kernel contract, float hygiene, aliasing declarations, and
-  parallel-safety;
+  kernel contract, float hygiene, aliasing declarations, chunked
+  streaming, exception handling, monotonic deadlines and atomic
+  artifact writes;
 * the **plan validator** (`validate_plan`, ``python -m repro
   validate-plan``) — abstract interpretation over saved ``Expression``
   forests so a fitted Ψ artifact can be rejected before it ever touches

@@ -100,7 +100,6 @@ def default_rules() -> "list[LintRule]":
         GuardedLogRule,
     )
     from .rules_kernels import KernelContractRule
-    from .rules_parallel import ParallelCallableRule, ParallelChunkStateRule
     from .rules_robustness import ExceptSwallowRule, WallClockDeadlineRule
     from .rules_stream import FullMatrixInChunkLoopRule
 
@@ -111,8 +110,6 @@ def default_rules() -> "list[LintRule]":
         Float32CastRule(),
         EmptyFillRule(),
         InplaceAliasRule(),
-        ParallelCallableRule(),
-        ParallelChunkStateRule(),
         ExceptSwallowRule(),
         WallClockDeadlineRule(),
         KernelContractRule(),

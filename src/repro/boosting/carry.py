@@ -61,7 +61,7 @@ def carried_paths(
     column subsampling (the column draws depend on the column count),
     early stopping, ``min_samples_leaf < 1`` (a split search may then
     pick an empty-child split the grower rejects, which no flag
-    records), and trees restored without flags.
+    records), and trees restored from snapshots without flags.
     """
     if (
         model.tie_rtol <= 0.0

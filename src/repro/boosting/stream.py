@@ -79,9 +79,8 @@ _SCRATCH_ROWS = 1 << 18
 
 
 #: Persisted per-tree array attributes; together they define a fitted tree.
-#: ``Tree.tie_in_feature`` is deliberately absent: a restored tree has no
-#: tie flags and is never carried over to a refit, so the snapshot shape
-#: (and ``STATS_FORMAT``) stays as it was.
+#: Snapshots also carry ``Tree.tie_in_feature``, which the mining-GBM
+#: carry reads; see :func:`_tree_from_state` for snapshots without it.
 _TREE_FIELDS = (
     "feature",
     "threshold",
@@ -104,12 +103,19 @@ def _file_digest(path) -> str:
 
 
 def _tree_state(tree: Tree) -> dict:
-    return {name: getattr(tree, name) for name in _TREE_FIELDS}
+    state = {name: getattr(tree, name) for name in _TREE_FIELDS}
+    state["tie_in_feature"] = tree.tie_in_feature
+    return state
 
 
 def _tree_from_state(model: GradientBoostingClassifier, state: dict) -> Tree:
-    """A snapshotted tree. ``tie_in_feature`` is not persisted, so it stays
-    ``None`` and the restored tree is never carried over to a refit."""
+    """A snapshotted tree, tie flags included.
+
+    A snapshot written before the flags were persisted has no
+    ``tie_in_feature``: the tree restores with ``None``, is never carried
+    over, and the next iteration refits its mining GBM (same Ψ, two more
+    passes), so such snapshots stay valid under the same ``STATS_FORMAT``.
+    """
     tree = Tree(
         max_depth=model.max_depth,
         min_samples_leaf=model.min_samples_leaf,
@@ -121,6 +127,8 @@ def _tree_from_state(model: GradientBoostingClassifier, state: dict) -> Tree:
     )
     for name in _TREE_FIELDS:
         setattr(tree, name, np.asarray(state[name]))
+    ties = state.get("tie_in_feature")
+    tree.tie_in_feature = None if ties is None else np.asarray(ties, dtype=bool)
     tree.fit_leaf_ids_ = None
     return tree
 

@@ -233,9 +233,9 @@ class Tree:
     #: Per node: ``True`` when the node splits and its near-tie set lay
     #: inside the split feature (see :func:`level_split_search`);
     #: ``False`` for leaves and for every node of a ``tie_rtol == 0``
-    #: tree. ``None`` on a tree restored from a stats snapshot, which
-    #: does not persist it, so such a tree is never carried over to a
-    #: refit (:func:`repro.boosting.carry.carried_paths`).
+    #: tree. ``None`` on a tree restored from a stats snapshot written
+    #: before snapshots persisted it, so such a tree is never carried
+    #: over to a refit (:func:`repro.boosting.carry.carried_paths`).
     tie_in_feature: np.ndarray = field(default=None, repr=False)
     # Fit-time leaf assignment: ``fit_leaf_ids_[row]`` is the leaf node id
     # of every row that was in the training partition, -1 for rows the

@@ -23,8 +23,7 @@ points are one-chunk callers of:
   cells and finalizes with the shared gain-ratio arithmetic;
 * the IV filter merges :func:`~repro.metrics.batched.iv_bin_counts`
   partials over sketch-derived equal-frequency edges
-  (row-shardable across processes via
-  :func:`repro.parallel.parallel_stream_iv_counts`);
+  (:func:`repro.parallel.parallel_stream_iv_counts`);
 * redundancy removal merges moment and centered-Gram panels from
   :mod:`repro.core.redundancy` and runs the same greedy scan.
 
@@ -41,8 +40,10 @@ quantile edges) the selected Ψ reproduces the in-memory fit's on
 fixed-seed workloads; float accumulations (GBM leaf values, Gram
 panels) re-associate and match to ≤1e-9 relative, so gain ties at the
 last ulp are the one place tree structure can legitimately differ. With
-``sketch="merge"`` edges are approximate within one sample rank and Ψ
-may differ accordingly.
+``sketch="merge"`` edges are approximate: an n-row column's edges lie
+within O(n / capacity) ranks of the exact ones (the tests allow
+10·n/capacity; at the default capacity of 4096, 64-bin edges of 40k-row
+columns measured up to 42 ranks off), and Ψ may differ accordingly.
 
 Unsupported in v1 (rejected with ``ConfigurationError``): validation
 sets and operators that are stateful or not row-wise.
@@ -299,19 +300,12 @@ def _select_streamed(
         scorable = (n_finite > 0) & (col_min < col_max)
     n_edges = np.array([e.size for e in edges_per_col], dtype=np.int64)
     stride = int(n_edges.max()) + 2
+    # Looked up at call time, so the benchmark's traced run can wrap it.
     from ..parallel import parallel_stream_iv_counts
 
     def compute_counts():
-        # The shard reducer owns retries and merged-prefix checkpoints;
-        # with n_jobs=1 it runs the single shard serially in-process.
         return parallel_stream_iv_counts(
-            data,
-            candidates,
-            edges_per_col,
-            scorable,
-            stride,
-            n_jobs=cfg.n_jobs,
-            stats=None if stats is None else stats.scoped("sel-iv"),
+            data, candidates, edges_per_col, scorable, stride
         )
 
     if stats is None:

@@ -76,30 +76,6 @@ class ChunkIntegrityError(DataError):
     """
 
 
-class ShardFailureError(ReproError, RuntimeError):
-    """One row shard of a streamed reduction exhausted its retry budget.
-
-    Carries the failing shard's contiguous row range so an operator (or
-    a resume pass) knows exactly which rows never merged; the partial
-    results of the other shards are discarded rather than trusted.
-    """
-
-    def __init__(self, label: str, shard_index: int, row_start: int, row_stop: int, attempts: int):
-        self.label = label
-        self.shard_index = shard_index
-        self.row_start = int(row_start)
-        self.row_stop = int(row_stop)
-        self.attempts = int(attempts)
-        super().__init__(
-            f"shard {shard_index} of {label} (rows [{row_start}, {row_stop})) "
-            f"failed after {attempts} attempt(s)"
-        )
-
-
-class RetryExhaustedError(ReproError, RuntimeError):
-    """Every attempt allowed by a :class:`RetryPolicy` failed."""
-
-
 class FailpointSpecError(ConfigurationError):
     """A ``REPRO_FAILPOINTS``-style activation spec could not be parsed.
 

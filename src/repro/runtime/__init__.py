@@ -1,18 +1,19 @@
 """Fault-tolerant runtime for fit and serve.
 
-Four pieces, layered under the SAFE pipeline and the serving path:
+Three pieces, layered under the SAFE pipeline and the serving path:
 
 * :mod:`~repro.runtime.failpoints` — named, deterministically
   triggerable fault-injection sites (chaos tests drive every other
   piece through these);
-* :mod:`~repro.runtime.retry` — :class:`RetryPolicy` (bounded attempts,
-  exponential backoff with seeded jitter, per-attempt timeout) used by
-  the shard pool in :mod:`repro.parallel`;
 * :mod:`~repro.runtime.checkpoint` — atomic, checksummed per-iteration
   fit checkpoints with corrupt-file detection and config/schema
   fingerprints;
 * :mod:`~repro.runtime.report` — :class:`RuntimeReport` /
   :class:`QuarantineRecord`, the fit's degraded-mode bookkeeping.
+
+No piece retries: every fit runs serially in-process, so a fault
+aborts the fit, and a rerun with the same ``checkpoint_dir`` resumes
+from the last valid checkpoint and statistics snapshot.
 """
 
 from .checkpoint import (
@@ -36,7 +37,6 @@ from .failpoints import (
 )
 from ..exceptions import FailpointSpecError
 from .report import ChunkQuarantineRecord, QuarantineRecord, RuntimeReport
-from .retry import RetryPolicy
 
 __all__ = [
     "Activation",
@@ -51,7 +51,6 @@ __all__ = [
     "FailpointRegistry",
     "KNOWN_SITES",
     "QuarantineRecord",
-    "RetryPolicy",
     "RuntimeReport",
     "StatsCheckpointStore",
     "active",

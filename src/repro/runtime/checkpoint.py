@@ -344,12 +344,12 @@ class StatsCheckpointStore:
     """Mid-iteration snapshots of merged sufficient-statistic state.
 
     Plan checkpoints (:class:`CheckpointManager`) are iteration-grained:
-    a crash mid-iteration loses every merged shard. This store closes
-    that gap — each *stage* of a streaming pass (a sketch, a merged
-    count panel, one grown tree, one shard's merged prefix) can persist
-    its accumulator state under a stable stage key and be restored on
-    resume, so the fit continues from the last merged shard instead of
-    restarting the pass.
+    a crash mid-iteration loses every pass the iteration has made. This
+    store closes that gap — each *stage* of a streaming pass (a sketch,
+    a merged count panel, one grown tree) can persist its accumulator
+    state under a stable stage key and be restored on resume, so the fit
+    continues from the last completed stage instead of restarting the
+    iteration.
 
     The same guarantees as plan checkpoints, in ``.npz`` instead of
     JSON: a format tag, the fit's config+schema fingerprint (a snapshot
@@ -504,9 +504,9 @@ class StatsCheckpointStore:
 class ScopedStats:
     """A stage-key-prefixed view of a :class:`StatsCheckpointStore`.
 
-    Lets a nested pass (the mining GBM, the ranking GBM, one shard
-    reducer) use short local stage names while the store keys stay
-    globally unique per iteration. Shares the parent's counters.
+    Lets a nested pass (the mining GBM, the ranking GBM) use short
+    local stage names while the store keys stay globally unique per
+    iteration. Shares the parent's counters.
     """
 
     def __init__(self, store: StatsCheckpointStore, prefix: str) -> None:

@@ -3,7 +3,7 @@
 A *failpoint* is a named site planted in production code that normally
 costs one dict lookup and does nothing. Tests (or an operator debugging
 a deployment) can *activate* a site so that reaching it raises — which
-turns "the worker pool died mid-fit" or "the checkpoint write was cut
+turns "the IV count pass died mid-fit" or "the checkpoint write was cut
 short" from an unreproducible incident into a deterministic test case.
 
 Sites are a closed registry (:data:`KNOWN_SITES`): planting a new
@@ -18,26 +18,18 @@ Activation modes (all deterministic):
 * ``nth``    — exactly the *n*-th hit of the site raises (1-based);
 * ``prob``   — each hit raises with probability *p* drawn from a
   *seeded* ``random.Random`` stream, so a given seed yields the same
-  hit pattern on every run;
-* ``kill``   — every hit (or exactly the *K*-th with ``kill:K``)
-  hard-exits the process via ``os._exit`` — but only in processes that
-  declared themselves pool workers (:func:`mark_worker_process`, the
-  executor initializer in :mod:`repro.parallel`). Anywhere else the
-  mode degrades to raising, so arming it can never take down the
-  driver process. In a worker it emulates a SIGKILL mid-shard: the
-  parent observes a ``BrokenProcessPool``.
+  hit pattern on every run.
 
 Activation is per-process: via the API (:func:`activate` /
 :func:`active`, typically from a test) or via the ``REPRO_FAILPOINTS``
 environment variable, e.g.::
 
-    REPRO_FAILPOINTS="parallel.pool=nth:2,transform.evaluate=prob:0.1:42"
+    REPRO_FAILPOINTS="pipeline.iteration=nth:2,transform.evaluate=prob:0.1:42"
 
-The environment is read lazily on the first failpoint evaluation, so
-worker processes spawned with the variable set inherit the activations.
-By default a triggered site raises :class:`~repro.exceptions.InjectedFault`;
-API activations may supply another exception type (e.g.
-``BrokenProcessPool``) to emulate a specific infrastructure failure.
+The environment is read lazily on the first failpoint evaluation. By
+default a triggered site raises :class:`~repro.exceptions.InjectedFault`;
+API activations may supply another exception type (e.g. ``OSError``)
+to emulate a specific infrastructure failure.
 """
 
 from __future__ import annotations
@@ -56,13 +48,6 @@ from ..exceptions import ConfigurationError, FailpointSpecError, InjectedFault
 #: when planting a new failpoint — the site-registry meta-test fails on
 #: an undocumented (or orphaned) entry.
 SITE_DOCS: "dict[str, str]" = {
-    "parallel.pool": (
-        "Before each round's executor is built in "
-        "repro.parallel.parallel_shard_reduce. Models a pool that dies "
-        "wholesale (BrokenProcessPool, pickling failure): every shard of "
-        "the round without a result fails that attempt, so per-shard "
-        "retry and serial-fallback paths can be driven deterministically."
-    ),
     "generation.operator": (
         "Once per planned expression during feature generation. Models an "
         "operator implementation raising on real data; drives the "
@@ -112,10 +97,11 @@ SITE_DOCS: "dict[str, str]" = {
     ),
     # Streaming-fit recovery sites (see repro.core.stream and friends).
     "stream.shard.run": (
-        "At the top of one row-shard reduction in a stream worker "
-        "(repro.parallel shard runners, e.g. _stream_iv_shard). Models a "
-        "worker failing (or dying, with the kill mode) mid-shard; drives "
-        "per-shard retry, re-queue, and ShardFailureError exhaustion."
+        "At the top of the out-of-core fit's IV count pass "
+        "(repro.parallel.parallel_stream_iv_counts), after the sel-edges "
+        "stage and before any IV count is merged. Models the fit dying "
+        "inside selection; a resume reuses the checkpointed edges and "
+        "recounts."
     ),
     "stream.chunk.read": (
         "Before each chunk yield in ChunkedDataset.iter_chunks. Models an "
@@ -135,24 +121,7 @@ KNOWN_SITES = frozenset(SITE_DOCS)
 #: Environment variable holding comma-separated ``site=spec`` activations.
 ENV_VAR = "REPRO_FAILPOINTS"
 
-_MODES = ("always", "once", "nth", "prob", "kill")
-
-#: True only in processes that declared themselves pool workers (see
-#: :func:`mark_worker_process`). The ``kill`` mode hard-exits only then;
-#: anywhere else it degrades to raising, so an armed kill can never take
-#: down the driver process (or the test runner).
-_IN_WORKER = False
-
-
-def mark_worker_process() -> None:
-    """Declare this process a disposable pool worker (pool initializer).
-
-    ``repro.parallel`` passes this as the ``ProcessPoolExecutor``
-    initializer so the ``kill`` failpoint mode knows it may ``os._exit``
-    here to emulate a SIGKILL'd worker.
-    """
-    global _IN_WORKER
-    _IN_WORKER = True
+_MODES = ("always", "once", "nth", "prob")
 
 
 @dataclass
@@ -182,8 +151,6 @@ class Activation:
         if self.mode == "nth":
             if self.nth is None or self.nth < 1:
                 raise ConfigurationError("nth mode needs nth >= 1 (1-based)")
-        if self.mode == "kill" and self.nth is not None and self.nth < 1:
-            raise ConfigurationError("kill mode needs nth >= 1 (1-based) or none")
         if self.mode == "prob":
             if self.probability is None or not 0.0 <= self.probability <= 1.0:
                 raise ConfigurationError("prob mode needs probability in [0, 1]")
@@ -197,14 +164,12 @@ class Activation:
             return hit == 1
         if self.mode == "nth":
             return hit == self.nth
-        if self.mode == "kill":
-            return True if self.nth is None else hit == self.nth
         return self._rng.random() < self.probability  # type: ignore[union-attr]
 
 
 def parse_spec(name: str, spec: str) -> Activation:
     """Parse one ``site=spec`` value: ``always`` | ``once`` | ``nth:K`` |
-    ``prob:P[:SEED]`` | ``kill[:K]``.
+    ``prob:P[:SEED]``.
 
     Every failure — unknown site, unknown mode, malformed numbers, out of
     range parameters — raises :class:`~repro.exceptions.FailpointSpecError`
@@ -216,7 +181,7 @@ def parse_spec(name: str, spec: str) -> Activation:
     def bad(why: str, cause: "Exception | None" = None) -> FailpointSpecError:
         err = FailpointSpecError(
             f"bad failpoint spec {name}={spec!r}: {why} "
-            "(expected always | once | nth:K | prob:P[:SEED] | kill[:K])"
+            "(expected always | once | nth:K | prob:P[:SEED])"
         )
         err.__cause__ = cause
         return err
@@ -226,12 +191,6 @@ def parse_spec(name: str, spec: str) -> Activation:
     try:
         if mode in ("always", "once") and len(parts) == 1:
             return Activation(name, mode=mode)
-        if mode == "kill" and len(parts) in (1, 2):
-            try:
-                nth = int(parts[1]) if len(parts) == 2 else None
-            except ValueError as exc:
-                raise bad(f"{parts[1]!r} is not an integer", exc) from exc
-            return Activation(name, mode="kill", nth=nth)
         if mode == "nth" and len(parts) == 2:
             try:
                 nth = int(parts[1])
@@ -346,12 +305,6 @@ class FailpointRegistry:
             if fire:
                 activation.fired += 1
         if fire:
-            if activation.mode == "kill" and _IN_WORKER:
-                # Emulate a SIGKILL'd pool worker: no exception, no
-                # cleanup, the parent sees a BrokenProcessPool. Outside a
-                # declared worker this degrades to raising below, so an
-                # armed kill can never take down the driver process.
-                os._exit(86)
             raise activation.raises(
                 f"injected fault at failpoint {name!r} (hit {hit})"
             )

@@ -18,7 +18,6 @@ Two tiers:
 
 from __future__ import annotations
 
-import copy
 import csv
 import hashlib
 import json
@@ -235,12 +234,8 @@ class ChunkedDataset:
     out-of-core path: resident memory stays O(chunk) regardless of
     ``n_rows``) or by in-memory arrays (tests, small data). The object is
     re-iterable — the streaming fit makes many passes — and picklable:
-    file-backed instances ship only their paths to worker processes,
-    which re-open the memory maps locally, so row-sharded workers in
-    :mod:`repro.parallel` never serialize the matrix.
-
-    ``shards(n)`` splits the row range into ``n`` contiguous sub-views
-    sharing the same backing storage, the unit of row-parallel work.
+    a file-backed instance pickles as its paths and re-opens the memory
+    maps on first use, never serializing the matrix.
 
     Integrity: pass ``manifest=`` (a path written by
     :func:`write_manifest`; auto-discovered by :meth:`from_npy`) and
@@ -570,30 +565,6 @@ class ChunkedDataset:
                 y_chunk = None if y is None else y[real_lo:real_hi]
                 yield range(eff_lo, eff_hi), X[real_lo:real_hi], y_chunk
 
-    def shards(self, n_shards: int) -> "list[ChunkedDataset]":
-        """Split the row range into ``n_shards`` contiguous sub-views."""
-        if n_shards < 1:
-            raise DataError("n_shards must be >= 1")
-        n_shards = min(n_shards, max(self.n_rows, 1))
-        bounds = np.linspace(self.start, self.stop, n_shards + 1).astype(np.int64)
-        out = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi > lo:
-                out.append(self._view(int(lo), int(hi)))
-        return out
-
-    def _view(self, start: int, stop: int) -> "ChunkedDataset":
-        # A shallow clone instead of re-construction: the view must share
-        # the parent's manifest state and verification verdicts (so shards
-        # of a quarantining dataset agree on the exclusion set without
-        # re-scanning), while memmap handles stay per-instance.
-        view = copy.copy(self)
-        view._X_map = None
-        view._y_map = None
-        view.start = int(start)
-        view.stop = int(stop)
-        return view
-
     def materialize(self) -> Dataset:
         """Load the full row range into an in-memory :class:`Dataset`."""
         if self.manifest_path is not None:
@@ -681,10 +652,10 @@ class ChunkedDataset:
             on_chunk_error=on_chunk_error,
         )
 
-    # -- pickling (row-sharded workers) -------------------------------
+    # -- pickling -------------------------------------------------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        # Memory-map handles are per-process; workers re-open lazily.
+        # Memory-map handles are per-process; a clone re-opens lazily.
         state["_X_map"] = None
         state["_y_map"] = None
         return state

@@ -154,62 +154,6 @@ class TestAliasingRule:
         assert "inplace-alias" not in _rule_ids(findings)
 
 
-class TestParallelRules:
-    def test_lambda_to_parallel_shard_reduce_fires(self):
-        findings = _lint_src(
-            "from repro.parallel import parallel_shard_reduce\n"
-            "def f(items, ranges):\n"
-            "    return parallel_shard_reduce(\n"
-            "        lambda x: x + 1, items, ranges, max, 2, 'f'\n"
-            "    )\n"
-        )
-        assert "parallel-callable" in _rule_ids(findings)
-
-    def test_nested_worker_by_keyword_fires(self):
-        findings = _lint_src(
-            "from repro.parallel import parallel_shard_reduce\n"
-            "def f(items, ranges):\n"
-            "    def count(x):\n"
-            "        return x + 1\n"
-            "    return parallel_shard_reduce(\n"
-            "        worker=count, payloads=items, shard_ranges=ranges,\n"
-            "        merge=max, n_jobs=2, label='f',\n"
-            "    )\n"
-        )
-        assert "parallel-callable" in _rule_ids(findings)
-
-    def test_module_level_worker_not_flagged(self):
-        findings = _lint_src(
-            "from repro.parallel import parallel_shard_reduce\n"
-            "def _score_shard(x):\n"
-            "    return x + 1\n"
-            "def f(items, ranges):\n"
-            "    return parallel_shard_reduce(\n"
-            "        _score_shard, items, ranges, max, 2, 'f'\n"
-            "    )\n"
-        )
-        assert "parallel-callable" not in _rule_ids(findings)
-        assert "parallel-chunk-state" not in _rule_ids(findings)
-
-    def test_shard_worker_touching_global_state_fires(self):
-        findings = _lint_src(
-            "def _count_shard(payload):\n"
-            "    global TOTAL\n"
-            "    TOTAL = payload\n"
-            "    return payload\n"
-        )
-        assert "parallel-chunk-state" in _rule_ids(findings)
-
-    def test_chunk_worker_touching_global_state_fires(self):
-        findings = _lint_src(
-            "def _score_chunk(items):\n"
-            "    global CACHE\n"
-            "    CACHE = items\n"
-            "    return items\n"
-        )
-        assert "parallel-chunk-state" in _rule_ids(findings)
-
-
 class TestKernelContractRules:
     def test_kernel_without_oracle_fires(self):
         findings = _lint_src(

@@ -175,10 +175,12 @@ class TestTreeFlags:
         assert len(store.resumed) == 2 + resumed.n_estimators  # edges, codes, trees
         for model in (ref, fresh, resumed):
             assert [t.tie_rtol for t in model.trees_] == [GAIN_TIE_RTOL] * 4
-        # Snapshots do not persist the flags: a restored tree never carries.
-        assert all(t.tie_in_feature is None for t in resumed.trees_)
-        assert carried_paths(resumed, range(X.shape[1])) is None
-        assert carried_paths(fresh, range(X.shape[1])) is not None
+        # Snapshots persist the flags: a restored tree carries like a fresh one.
+        for a, b in zip(fresh.trees_, resumed.trees_):
+            assert np.array_equal(a.tie_in_feature, b.tie_in_feature)
+        survivors = range(X.shape[1])
+        assert carried_paths(fresh, survivors) is not None
+        assert carried_paths(resumed, survivors) == carried_paths(fresh, survivors)
 
 
 # ----------------------------------------------------------------------

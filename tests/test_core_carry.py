@@ -17,12 +17,16 @@ import json
 import numpy as np
 import pytest
 
+from repro.boosting import GradientBoostingClassifier
+from repro.boosting.carry import carried_paths
+from repro.boosting.stream import _tree_from_state, _tree_state
+from repro.boosting.tree import GAIN_TIE_RTOL
 from repro.core import SAFE, SAFEConfig
 from repro.core import selection
 from repro.core import stream as core_stream
 from repro.core.pipeline import _trace_from_scalars, _trace_scalars
 from repro.exceptions import InjectedFault
-from repro.runtime.checkpoint import CheckpointManager
+from repro.runtime.checkpoint import CheckpointManager, StatsCheckpointStore
 from repro.runtime.failpoints import FAILPOINTS, active
 from repro.tabular.dataset import Dataset
 from repro.tabular.io import ChunkedDataset
@@ -139,6 +143,27 @@ def test_traces_from_older_checkpoints_read_as_refit():
     assert _trace_scalars(trace)["mining_reused"] is True
 
 
+def test_tree_snapshots_keep_tie_flags_and_older_ones_refuse_the_carry():
+    X, y, _ = _workload()
+    ranking = GradientBoostingClassifier(
+        n_estimators=3, max_depth=3, random_state=0, tie_rtol=GAIN_TIE_RTOL
+    ).fit(X, y)
+    survivors = np.arange(X.shape[1])
+    assert carried_paths(ranking, survivors) is not None
+    states = [_tree_state(tree) for tree in ranking.trees_]
+    ranking.trees_ = [_tree_from_state(ranking, state) for state in states]
+    for tree, state in zip(ranking.trees_, states):
+        assert np.array_equal(tree.tie_in_feature, state["tie_in_feature"])
+    assert carried_paths(ranking, survivors) is not None
+    # A snapshot written before the flags were persisted restores without
+    # them, so the next mining GBM is refit.
+    for state in states:
+        del state["tie_in_feature"]
+    ranking.trees_ = [_tree_from_state(ranking, state) for state in states]
+    assert all(tree.tie_in_feature is None for tree in ranking.trees_)
+    assert carried_paths(ranking, survivors) is None
+
+
 class TestResume:
     @pytest.mark.parametrize("mode", MODES)
     def test_resumed_iteration_carries_like_the_uninterrupted_fit(
@@ -166,6 +191,57 @@ class TestResume:
             # The label pass, then iteration 1's seven passes.
             assert reference_passes == 1 + 9 + 7
             assert len(passes) == 1 + 7
+
+    def test_resume_inside_the_ranking_gbm_still_carries(
+        self, tmp_path, monkeypatch
+    ):
+        # Trees restored from stream snapshots keep their tie flags, so a
+        # fit killed while iteration 0's ranking GBM grows still carries
+        # its paths into iteration 1 and makes no mining-GBM passes there.
+        events = []
+        iter_chunks = ChunkedDataset.iter_chunks
+        save = StatsCheckpointStore.save
+
+        def counted(self):
+            events.append("pass")
+            yield from iter_chunks(self)
+
+        def recorded(self, stage, state):
+            events.append(stage)
+            return save(self, stage, state)
+
+        monkeypatch.setattr(ChunkedDataset, "iter_chunks", counted)
+        monkeypatch.setattr(StatsCheckpointStore, "save", recorded)
+        reference, keys = _fit(
+            "stream", checkpoint_dir=str(tmp_path / "reference"), sketch="merge"
+        )
+        assert [t.mining_reused for t in reference.traces_] == [False, True]
+        saves = [e for e in events if e != "pass"]
+        kill_stage = "it00000/sel-rank-gbm/tree-0002"
+        kill_at = events.index(kill_stage)
+        passes_left = events[kill_at:].count("pass")
+
+        with active(
+            "stream.stats.checkpoint", mode="nth", nth=saves.index(kill_stage) + 1
+        ):
+            with pytest.raises(InjectedFault):
+                _fit(
+                    "stream", checkpoint_dir=str(tmp_path / "crash"), sketch="merge"
+                )
+        del events[:]
+        resumed, resumed_keys = _fit(
+            "stream", checkpoint_dir=str(tmp_path / "crash"), sketch="merge"
+        )
+        report = resumed.runtime_report_
+        assert report.resumed_from_iteration is None
+        assert "it00000/sel-rank-gbm/tree-0001" in report.stats_stages_resumed
+        assert [t.mining_reused for t in resumed.traces_] == [False, True]
+        assert resumed_keys == keys
+        assert _scalars(resumed) == _scalars(reference)
+        # The label pass, then what the uninterrupted fit had left: iteration
+        # 1's seven passes (a refit mining GBM would add two).
+        assert passes_left == 7
+        assert events.count("pass") == 1 + passes_left
 
     def test_checkpoint_without_carried_paths_resumes_by_refitting(
         self, tmp_path, monkeypatch

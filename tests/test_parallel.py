@@ -1,53 +1,19 @@
-"""Tests for the process-pool layer (§IV-E.2): the row-shard reducer."""
+"""``SAFEConfig.n_jobs`` is validated and has no effect (§IV-E.2).
+
+Every fit runs serially in-process. Any valid ``n_jobs`` gives the same
+Ψ, information values and trace scalars, in memory and streamed under
+either sketch; no fit starts a worker process; invalid values are still
+rejected.
+"""
 
 from __future__ import annotations
 
-import time
-import warnings
-
 import pytest
 
+from repro.core import SAFE, SAFEConfig
+from repro.core.pipeline import _trace_scalars
 from repro.exceptions import ConfigurationError
-from repro.parallel import parallel_shard_reduce, resolve_n_jobs, set_retry_policy
-from repro.runtime import failpoints
-from repro.runtime.retry import RetryPolicy
-
-
-def square(x: float) -> float:  # module-level: picklable for the pool
-    return x * x
-
-
-def add(a: float, b: float) -> float:
-    return a + b
-
-
-def reduce_squares(worker=square, payloads=(1.0, 2.0, 3.0)) -> float:
-    """Sum of ``worker`` over one shard per payload, on a two-worker pool."""
-    return parallel_shard_reduce(
-        worker,
-        list(payloads),
-        [(i, i + 1) for i in range(len(payloads))],
-        add,
-        n_jobs=2,
-        label="test",
-    )
-
-
-class TestResolveNJobs:
-    def test_none_is_serial(self):
-        assert resolve_n_jobs(None) == 1
-
-    def test_minus_one_uses_cores(self):
-        assert resolve_n_jobs(-1) >= 1
-
-    def test_explicit(self):
-        assert resolve_n_jobs(3) == 3
-
-    def test_invalid(self):
-        with pytest.raises(ConfigurationError):
-            resolve_n_jobs(0)
-        with pytest.raises(ConfigurationError):
-            resolve_n_jobs(-2)
+from repro.tabular.io import ChunkedDataset
 
 
 class TestParallelIV:
@@ -79,113 +45,60 @@ class TestParallelIV:
             SAFEConfig(n_jobs=0)
 
 
-def raise_value_error(x: float) -> float:  # module-level: picklable
-    raise ValueError(f"bad item {x}")
+def _fit(data, mode: str, n_jobs: int):
+    """Ψ keys, per-iteration IVs and trace scalars of one two-iteration fit.
 
-
-def sleep_in_worker(x: float) -> float:
-    """Hangs for 10 s inside a pool worker; returns at once in-process."""
-    if failpoints._IN_WORKER:
-        time.sleep(10.0)
-    return x * x
-
-
-class TestPoolFaultTolerance:
-    """parallel_shard_reduce: retries, serial fallback, pool-less hosts."""
-
-    @pytest.fixture(autouse=True)
-    def _clean_runtime(self):
-        from repro.parallel import _reset_pool_state
-
-        failpoints.FAILPOINTS.reset()
-        set_retry_policy(None)
-        _reset_pool_state()
-        yield
-        failpoints.FAILPOINTS.reset()
-        set_retry_policy(None)
-        _reset_pool_state()
-
-    def test_transient_fault_is_retried_without_warning(self, recwarn):
-        set_retry_policy(RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0))
-        with failpoints.active("parallel.pool", mode="once"):
-            out = reduce_squares()
-        assert out == 14.0
-        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
-
-    def test_exhausted_retries_fall_back_to_serial_with_warning(self):
-        set_retry_policy(RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0))
-        with failpoints.active("parallel.pool", mode="always"):
-            with pytest.warns(RuntimeWarning, match="falling back to serial"):
-                out = reduce_squares()
-        assert out == 14.0
-
-    def test_pool_less_environment_degrades_once(self, monkeypatch):
-        import repro.parallel as par
-
-        class NoPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no semaphores here")
-
-        monkeypatch.setattr(par, "ProcessPoolExecutor", NoPool)
-        with pytest.warns(RuntimeWarning, match="unavailable"):
-            out = reduce_squares(payloads=(1.0, 2.0))
-        assert out == 5.0
-        # The verdict is remembered: later calls go straight to serial
-        # without warning again.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert reduce_squares() == 14.0
-
-    def test_pool_broken_between_submits_retries_the_unsent_shards(self, monkeypatch):
-        from concurrent.futures import Future
-        from concurrent.futures.process import BrokenProcessPool
-
-        import repro.parallel as par
-
-        submits = []
-
-        class BreaksOnSecondSubmit:
-            """Runs work inline; the second submit overall finds the pool
-            broken, as when a killed worker breaks it mid-round."""
-
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, arg):
-                submits.append(arg)
-                if len(submits) == 2:
-                    raise BrokenProcessPool("a worker died mid-round")
-                future = Future()
-                future.set_result(fn(arg))
-                return future
-
-        set_retry_policy(RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0))
-        monkeypatch.setattr(par, "ProcessPoolExecutor", BreaksOnSecondSubmit)
-        out = reduce_squares()
-        assert out == 14.0
-        # Round one submitted shard 0 and failed at shard 1; round two
-        # re-submitted shards 1 and 2 only.
-        assert submits == [1.0, 2.0, 2.0, 3.0]
-
-    def test_worker_data_errors_propagate_unretried(self):
-        set_retry_policy(RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0))
-        with pytest.raises(ValueError, match="bad item"):
-            reduce_squares(worker=raise_value_error, payloads=(1.0, 2.0))
-
-    def test_hung_worker_is_bounded_by_the_attempt_timeout(self):
-        set_retry_policy(
-            RetryPolicy(
-                max_attempts=2, base_delay=0.0, jitter=0.0, per_attempt_timeout=0.5
-            )
+    ``mode`` is ``"memory"``, or the ``sketch`` of a streamed fit.
+    """
+    streamed = mode != "memory"
+    safe = SAFE(
+        SAFEConfig(
+            n_iterations=2,
+            gamma=15,
+            random_state=0,
+            n_jobs=n_jobs,
+            sketch=mode if streamed else "merge",
         )
-        start = time.perf_counter()
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            out = reduce_squares(worker=sleep_in_worker, payloads=(1.0, 2.0))
-        assert out == 5.0
-        assert time.perf_counter() - start < 5.0
+    )
+    if streamed:
+        data = ChunkedDataset.from_dataset(data, chunk_rows=300)
+    psi = safe.fit(data)
+    ivs = [t.selection.information_values for t in safe.traces_]
+    scalars = [
+        {k: v for k, v in _trace_scalars(t).items() if k != "elapsed_seconds"}
+        for t in safe.traces_
+    ]
+    return psi.feature_keys, ivs, scalars
+
+
+class TestNJobsIsANoOp:
+    @pytest.mark.parametrize("mode", ["memory", "exact", "merge"])
+    def test_every_n_jobs_fits_the_same(self, interaction_data, mode):
+        reference = _fit(interaction_data, mode, n_jobs=1)
+        assert reference[0]
+        for n_jobs in (2, -1):
+            assert _fit(interaction_data, mode, n_jobs) == reference
+
+    def test_streamed_fit_starts_no_worker_process(
+        self, interaction_data, monkeypatch
+    ):
+        import concurrent.futures
+        import multiprocessing.process
+
+        import repro.parallel as par
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fit started a worker process")
+
+        monkeypatch.setattr(par, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        # multiprocessing.Process, and the process class of every start
+        # method, inherit ``start`` from BaseProcess.
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        keys, _, _ = _fit(interaction_data, "merge", n_jobs=2)
+        assert keys
+
+    @pytest.mark.parametrize("n_jobs", [0, -2])
+    def test_invalid_n_jobs_rejected(self, n_jobs):
+        with pytest.raises(ConfigurationError):
+            SAFEConfig(n_jobs=n_jobs)

@@ -3,8 +3,6 @@
 Every scenario injects a deterministic fault into a live ``SAFE.fit`` or
 ``transform`` and asserts the run *degrades predictably*:
 
-* a worker-pool crash mid-way through a streamed fit ends with the same
-  Ψ as ``n_jobs=1``;
 * a fit killed between iterations resumes from its checkpoint and
   produces the same Ψ as an uninterrupted run;
 * a truncated final checkpoint costs one iteration, not the run;
@@ -14,55 +12,22 @@ Every scenario injects a deterministic fault into a live ``SAFE.fit`` or
 
 from __future__ import annotations
 
-from concurrent.futures.process import BrokenProcessPool
-
 import numpy as np
 import pytest
 
 from repro.core import SAFE, SAFEConfig
 from repro.exceptions import InjectedFault
-from repro.parallel import _reset_pool_state, set_retry_policy
 from repro.runtime.failpoints import FAILPOINTS, active
-from repro.runtime.retry import RetryPolicy
-from repro.tabular.io import ChunkedDataset
 
 
 @pytest.fixture(autouse=True)
 def _clean_runtime():
     FAILPOINTS.reset()
-    set_retry_policy(None)
-    _reset_pool_state()
     yield
     FAILPOINTS.reset()
-    set_retry_policy(None)
-    _reset_pool_state()
 
-
-#: Fast retries so chaos scenarios never sleep for real.
-FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
 CFG = dict(gamma=10, random_state=0)
-
-
-class TestPoolCrash:
-    """The shard pool runs in the streamed fit, so these stream the data."""
-
-    def test_transient_pool_crash_is_retried_to_the_same_psi(self, linear_data):
-        streamed = ChunkedDataset.from_dataset(linear_data, chunk_rows=100)
-        reference = SAFE(SAFEConfig(**CFG)).fit(streamed)
-        set_retry_policy(FAST_RETRY)
-        with active("parallel.pool", mode="once", raises=BrokenProcessPool):
-            psi = SAFE(SAFEConfig(n_jobs=2, **CFG)).fit(streamed)
-        assert psi.feature_keys == reference.feature_keys
-
-    def test_persistent_pool_crash_degrades_to_serial(self, linear_data):
-        streamed = ChunkedDataset.from_dataset(linear_data, chunk_rows=100)
-        reference = SAFE(SAFEConfig(**CFG)).fit(streamed)
-        set_retry_policy(RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0))
-        with active("parallel.pool", mode="always", raises=BrokenProcessPool):
-            with pytest.warns(RuntimeWarning, match="falling back to serial"):
-                psi = SAFE(SAFEConfig(n_jobs=2, **CFG)).fit(streamed)
-        assert psi.feature_keys == reference.feature_keys
 
 
 class TestKilledFitResumes:

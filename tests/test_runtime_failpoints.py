@@ -31,7 +31,7 @@ def _clean_failpoints():
 
 class TestRegistry:
     def test_disarmed_site_is_a_noop(self):
-        failpoint("parallel.pool")  # must not raise
+        failpoint("pipeline.iteration")  # must not raise
 
     def test_unknown_site_rejected_on_activation(self):
         with pytest.raises(ConfigurationError):
@@ -56,12 +56,12 @@ class TestRegistry:
         assert "transform.evaluate" not in FAILPOINTS.active_sites()
 
     def test_custom_exception_type(self):
-        with active("parallel.pool", raises=OSError):
+        with active("pipeline.iteration", raises=OSError):
             with pytest.raises(OSError):
-                failpoint("parallel.pool")
+                failpoint("pipeline.iteration")
 
     def test_reset_disarms_everything(self):
-        FAILPOINTS.activate("parallel.pool")
+        FAILPOINTS.activate("pipeline.iteration")
         FAILPOINTS.activate("checkpoint.write")
         FAILPOINTS.reset()
         assert FAILPOINTS.active_sites() == {}
@@ -111,26 +111,26 @@ class TestModes:
 
     def test_invalid_modes_rejected(self):
         with pytest.raises(ConfigurationError):
-            Activation("parallel.pool", mode="sometimes")
+            Activation("pipeline.iteration", mode="sometimes")
         with pytest.raises(ConfigurationError):
-            Activation("parallel.pool", mode="nth", nth=0)
+            Activation("pipeline.iteration", mode="nth", nth=0)
         with pytest.raises(ConfigurationError):
-            Activation("parallel.pool", mode="prob", probability=1.5)
+            Activation("pipeline.iteration", mode="prob", probability=1.5)
 
 
 class TestSpecParsing:
     def test_always_and_once(self):
-        assert parse_spec("parallel.pool", "always").mode == "always"
-        assert parse_spec("parallel.pool", "once").mode == "once"
+        assert parse_spec("pipeline.iteration", "always").mode == "always"
+        assert parse_spec("pipeline.iteration", "once").mode == "once"
 
     def test_nth(self):
-        act = parse_spec("parallel.pool", "nth:4")
+        act = parse_spec("pipeline.iteration", "nth:4")
         assert act.mode == "nth" and act.nth == 4
 
     def test_prob_with_and_without_seed(self):
-        act = parse_spec("parallel.pool", "prob:0.25")
+        act = parse_spec("pipeline.iteration", "prob:0.25")
         assert act.mode == "prob" and act.probability == 0.25 and act.seed == 0
-        act = parse_spec("parallel.pool", "prob:0.25:7")
+        act = parse_spec("pipeline.iteration", "prob:0.25:7")
         assert act.seed == 7
 
     @pytest.mark.parametrize(
@@ -138,7 +138,13 @@ class TestSpecParsing:
     )
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ConfigurationError):
-            parse_spec("parallel.pool", spec)
+            parse_spec("pipeline.iteration", spec)
+
+    @pytest.mark.parametrize("spec", ["kill", "kill:2"])
+    def test_worker_kill_mode_no_longer_exists(self, spec):
+        # No fit starts a worker process, so there is nothing to kill.
+        with pytest.raises(ConfigurationError):
+            parse_spec("stream.shard.run", spec)
 
 
 class TestEnvActivation:
@@ -191,53 +197,6 @@ class TestSiteDocs:
             )
 
 
-class TestKillMode:
-    """kill takes the process down only when it is a marked worker."""
-
-    def test_kill_spec_parses(self):
-        activation = parse_spec("stream.shard.run", "kill")
-        assert activation.mode == "kill" and activation.nth is None
-        activation = parse_spec("stream.shard.run", "kill:3")
-        assert activation.mode == "kill" and activation.nth == 3
-
-    def test_kill_degrades_to_raise_outside_workers(self):
-        # The driver (and the test process) must never be os._exit'd:
-        # unmarked processes surface the fault as an InjectedFault, which
-        # the shard reducer's retry machinery treats like any crash.
-        with active("stream.shard.run", "kill"):
-            with pytest.raises(InjectedFault):
-                failpoint("stream.shard.run")
-        with active("stream.shard.run", "kill", nth=2):
-            failpoint("stream.shard.run")  # first hit survives
-            with pytest.raises(InjectedFault):
-                failpoint("stream.shard.run")
-
-    def test_kill_exits_hard_in_a_marked_worker_process(self):
-        import os
-        import subprocess
-        import sys
-
-        code = (
-            "from repro.runtime.failpoints import ("
-            "FAILPOINTS, failpoint, mark_worker_process)\n"
-            "FAILPOINTS.activate('stream.shard.run', 'kill')\n"
-            "mark_worker_process()\n"
-            "failpoint('stream.shard.run')\n"
-            "print('unreachable')\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC_ROOT.parent)
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
-        assert result.returncode == 86
-        assert "unreachable" not in result.stdout
-
-
 class TestSpecErrors:
     """Malformed specs fail loudly, with the offending entry named."""
 
@@ -248,9 +207,9 @@ class TestSpecErrors:
         from repro.exceptions import FailpointSpecError
 
         with pytest.raises(FailpointSpecError) as excinfo:
-            parse_spec("parallel.pool", spec)
+            parse_spec("pipeline.iteration", spec)
         message = str(excinfo.value)
-        assert "parallel.pool" in message
+        assert "pipeline.iteration" in message
         assert repr(spec) in message
 
     def test_spec_error_is_a_configuration_error(self):

@@ -64,10 +64,12 @@ from repro.metrics.information import (
     pearson_matrix,
 )
 from repro.tabular.binning import (
+    DEFAULT_SKETCH_CAPACITY,
     QuantileSketch,
     equal_frequency_edges,
     merge_quantile_sketches,
     quantile_sketch_partial,
+    streamed_quantile_edges,
 )
 from repro.tabular.preprocess import clean_matrix
 
@@ -347,6 +349,35 @@ def test_bounded_sketch_rank_error_is_bounded():
     merged_edges = merge_quantile_sketches(shard_a, shard_b).edges(n_bins)
     ranks = np.searchsorted(xs, merged_edges, side="right") - 1
     assert np.abs(ranks - targets).max() <= 0.02 * n
+
+
+def test_default_capacity_edges_meet_the_documented_rank_bound():
+    """``sketch="merge"`` at the fit's defaults: 64-bin edges of 40k-row
+    columns streamed in 4000-row chunks lie within 10 * n / capacity ranks
+    of the exact ones, the bound ``SAFEConfig.sketch`` documents, for 20
+    seeded normal and heavy-tailed Student-t(1.5) columns."""
+    n, chunk_rows, n_bins = 40_000, 4_000, 64
+    columns = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        normal = seed % 2 == 0
+        columns.append(rng.normal(size=n) if normal else rng.standard_t(1.5, size=n))
+    X = np.column_stack(columns)
+
+    def chunks():
+        for lo in range(0, n, chunk_rows):
+            yield range(lo, lo + chunk_rows), X[lo : lo + chunk_rows], None
+
+    edges, _, _, _ = streamed_quantile_edges(
+        chunks, X.shape[1], n_bins, sketch="merge", capacity=DEFAULT_SKETCH_CAPACITY
+    )
+    bound = 10 * n / DEFAULT_SKETCH_CAPACITY
+    targets = np.floor(np.linspace(0.0, 1.0, n_bins + 1)[1:-1] * (n - 1))
+    for j, col_edges in enumerate(edges):
+        assert col_edges.size == equal_frequency_edges(X[:, j], n_bins).size
+        ranks = np.searchsorted(np.sort(X[:, j]), col_edges, side="right") - 1
+        error = np.abs(ranks - targets).max()
+        assert error <= bound, f"column {j}: rank error {error} > {bound:.1f}"
 
 
 def test_merged_capacity_is_the_smaller_in_either_order():

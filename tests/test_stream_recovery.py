@@ -1,7 +1,7 @@
 """Crash-safe out-of-core fit: the kill-then-resume chaos sweep.
 
 Acceptance contract of the recovery stack: for every ``stream.*``
-failpoint site (and the worker-kill mode), killing a checkpointed
+failpoint site, killing a checkpointed
 streaming fit at that site and resuming from the same checkpoint
 directory reproduces the uninterrupted fit's Ψ *bit-identically* —
 including quarantine bookkeeping and checkpoint-skip reasons. A corrupt
@@ -16,15 +16,10 @@ import pytest
 
 from repro.core.config import SAFEConfig
 from repro.core.pipeline import SAFE
-from repro.exceptions import ChunkIntegrityError, InjectedFault, ShardFailureError
-from repro.parallel import _reset_pool_state, set_retry_policy
+from repro.exceptions import ChunkIntegrityError, InjectedFault
 from repro.runtime import checkpoint
 from repro.runtime.failpoints import FAILPOINTS, active
-from repro.runtime.retry import RetryPolicy
 from repro.tabular.io import ChunkedDataset, Dataset, save_npy, write_manifest
-
-#: No-sleep retries keep the sweep fast while preserving attempt counts.
-FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
 
 N_ROWS = 400
 CHUNK_ROWS = 100
@@ -47,12 +42,8 @@ SWEEP = [
 @pytest.fixture(autouse=True)
 def _clean_runtime():
     FAILPOINTS.reset()
-    set_retry_policy(FAST_RETRY)
-    _reset_pool_state()
     yield
     FAILPOINTS.reset()
-    set_retry_policy(None)
-    _reset_pool_state()
 
 
 def _write_backing(root, corrupt_chunk: "int | None" = None):
@@ -135,7 +126,6 @@ def clean_backing(tmp_path_factory):
 @pytest.fixture(scope="module")
 def reference_psi(clean_backing):
     x_path, y_path = clean_backing
-    set_retry_policy(FAST_RETRY)
     safe = SAFE(config=_config())
     transformer = safe.fit(_open(x_path, y_path))
     return _psi(transformer, safe)
@@ -153,7 +143,7 @@ class TestChaosSweep:
         x_path, y_path = clean_backing
         crashed = SAFE(config=_config())
         with active(site, mode=mode, nth=nth):
-            with pytest.raises((InjectedFault, ShardFailureError)):
+            with pytest.raises(InjectedFault):
                 crashed.fit(
                     _open(x_path, y_path), checkpoint_dir=str(tmp_path)
                 )
@@ -168,72 +158,25 @@ class TestChaosSweep:
         assert report.stats_checkpoints_skipped == []
         assert report.chunks_quarantined == []
 
-    def test_transient_shard_fault_is_absorbed_without_restart(
-        self, clean_backing, reference_psi
-    ):
-        # 'once' dies on the first shard attempt only: the reducer
-        # re-submits just that shard and the fit completes first try.
-        x_path, y_path = clean_backing
-        safe = SAFE(config=_config())
-        with active("stream.shard.run", mode="once"):
-            transformer = safe.fit(_open(x_path, y_path))
-        _assert_matches_reference(_psi(transformer, safe), reference_psi)
-
     def test_shard_crash_after_partial_progress_then_resume(
         self, clean_backing, reference_psi, tmp_path
     ):
-        # a single nth:2 firing is absorbed by the retry budget, so to
-        # die *mid-run* with earlier stages already checkpointed we
-        # shrink the budget to one attempt — the second shard pass is
-        # then fatal, and the resume picks up the first pass's stats
+        # nth:2 dies *mid-run*, in the second iteration's IV count pass,
+        # with earlier stages already checkpointed; the resume picks up
+        # their stats
         x_path, y_path = clean_backing
-        set_retry_policy(RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0))
         crashed = SAFE(config=_config())
         with active("stream.shard.run", mode="nth", nth=2):
-            with pytest.raises(ShardFailureError):
+            with pytest.raises(InjectedFault):
                 crashed.fit(
                     _open(x_path, y_path), checkpoint_dir=str(tmp_path)
                 )
-        set_retry_policy(FAST_RETRY)
         resumed = SAFE(config=_config())
         transformer = resumed.fit(
             _open(x_path, y_path), checkpoint_dir=str(tmp_path)
         )
         _assert_matches_reference(_psi(transformer, resumed), reference_psi)
         assert resumed.runtime_report_.stats_stages_resumed
-
-    def test_shard_exhaustion_raises_typed_error_with_row_range(
-        self, clean_backing
-    ):
-        x_path, y_path = clean_backing
-        safe = SAFE(config=_config())
-        with active("stream.shard.run", mode="always"):
-            with pytest.raises(ShardFailureError) as excinfo:
-                safe.fit(_open(x_path, y_path))
-        err = excinfo.value
-        assert err.attempts == FAST_RETRY.max_attempts
-        assert 0 <= err.row_start < err.row_stop <= N_ROWS
-
-    def test_worker_kill_mid_shard_then_resume(
-        self, clean_backing, reference_psi, tmp_path
-    ):
-        # kill mode: marked pool workers os._exit(86) mid-shard (the
-        # driver sees BrokenProcessPool and re-submits); in pool-less
-        # sandboxes the same activation degrades to InjectedFault on
-        # the serial path. Either way the fit dies with the typed
-        # shard error, and the resume reproduces Ψ bit-identically.
-        x_path, y_path = clean_backing
-        crashed = SAFE(config=_config(n_jobs=2))
-        with active("stream.shard.run", mode="kill"):
-            with pytest.raises(ShardFailureError):
-                crashed.fit(
-                    _open(x_path, y_path), checkpoint_dir=str(tmp_path)
-                )
-        resumed = SAFE(config=_config(n_jobs=2))
-        transformer = resumed.fit(
-            _open(x_path, y_path), checkpoint_dir=str(tmp_path)
-        )
-        _assert_matches_reference(_psi(transformer, resumed), reference_psi)
 
     def test_resume_actually_reuses_statistics(
         self, clean_backing, reference_psi, tmp_path
@@ -287,7 +230,7 @@ class TestChaosSweep:
         monkeypatch.setattr(checkpoint, "STATS_FORMAT", "repro-stats-v1")
         crashed = SAFE(config=_config())
         with active("stream.shard.run", mode="always"):
-            with pytest.raises(ShardFailureError):
+            with pytest.raises(InjectedFault):
                 crashed.fit(
                     _open(x_path, y_path), checkpoint_dir=str(tmp_path)
                 )
@@ -331,7 +274,6 @@ class TestQuarantineRecovery:
         self, corrupt_backing, tmp_path
     ):
         x_path, y_path = corrupt_backing
-        set_retry_policy(FAST_RETRY)
 
         reference = SAFE(config=_config())
         ref_transformer = reference.fit(
@@ -341,15 +283,13 @@ class TestQuarantineRecovery:
         ref_records = reference.runtime_report_.chunks_quarantined
         assert [r.chunk_index for r in ref_records] == [1]
 
-        set_retry_policy(RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0))
         crashed = SAFE(config=_config())
         with active("stream.shard.run", mode="nth", nth=2):
-            with pytest.raises(ShardFailureError):
+            with pytest.raises(InjectedFault):
                 crashed.fit(
                     _open(x_path, y_path, on_chunk_error="quarantine"),
                     checkpoint_dir=str(tmp_path),
                 )
-        set_retry_policy(FAST_RETRY)
         resumed = SAFE(config=_config())
         transformer = resumed.fit(
             _open(x_path, y_path, on_chunk_error="quarantine"),

@@ -173,23 +173,6 @@ class TestChunkManifests:
         assert starts == [0, 100, 200, 300]
         assert stops == [100, 200, 300, 400]
 
-    def test_quarantined_shards_stay_consistent(self, tmp_path):
-        from repro.tabular.io import ChunkedDataset
-
-        X, _, x_path, y_path = _manifest_workload(tmp_path)
-        _corrupt_rows(x_path, 100, 200)
-        data = ChunkedDataset.from_npy(
-            x_path,
-            y_path=y_path,
-            chunk_rows=100,
-            manifest=True,
-            on_chunk_error="quarantine",
-        )
-        shards = data.shards(2)
-        assert sum(s.n_rows for s in shards) == data.n_rows
-        parts = [s.materialize().X for s in shards]
-        assert np.array_equal(np.vstack(parts), data.materialize().X)
-
     def test_corrupt_manifest_is_detected(self, tmp_path):
         from repro.exceptions import ChunkIntegrityError
         from repro.tabular.io import ChunkedDataset, manifest_path_for
