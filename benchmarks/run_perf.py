@@ -145,7 +145,9 @@ FS_N_COLS = 8
 FS_CHUNK_ROWS = 8_192
 #: Fixed out-of-core ceiling: one eighth of the materialized matrix.
 FS_PEAK_CEILING_BYTES = FS_N_ROWS * FS_N_COLS * 8 // 8
-FS_PARITY_ROWS = 200_000
+#: Above ``repro.boosting.stream._SCRATCH_ROWS`` (262 144), so the
+#: exact-sketch parity fit grows its streamed trees over two pieces.
+FS_PARITY_ROWS = 300_000
 FR_N_ROWS = 100_000
 FR_ITERATIONS = 4
 #: Runs of each timed ``fit_recovery`` fit; its gates read the medians.

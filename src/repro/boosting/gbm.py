@@ -44,7 +44,7 @@ from ..tabular.binning import codes_from_edges_matrix, quantile_codes_matrix
 from .histogram import compact_codes, histogram_stride
 from ..utils import as_float_matrix, as_label_vector, check_random_state
 from .losses import get_loss
-from .tree import Tree, TreePath
+from .tree import RowStore, Tree, TreePath
 
 
 @dataclass
@@ -65,9 +65,9 @@ class GradientBoostingClassifier:
     gamma: float = 0.0
     subsample: float = 1.0
     colsample: float = 1.0
-    #: Near-tie split determinism; 0 = historical strict argmax. The SAFE
-    #: miners pass ``repro.boosting.tree.GAIN_TIE_RTOL`` so the in-memory
-    #: and streaming growers resolve tied gains identically.
+    #: Near-tie split rule; 0 = historical strict argmax. The SAFE miners
+    #: pass ``repro.boosting.tree.GAIN_TIE_RTOL``, whose per-node tie flags
+    #: certify the mining-GBM carry (``repro.boosting.carry``).
     tie_rtol: float = 0.0
     max_bins: int = 64
     early_stopping_rounds: "int | None" = None
@@ -142,6 +142,8 @@ class GradientBoostingClassifier:
         rounds_since_best = 0
         self.best_iteration_ = None
         n_rows = X.shape[0]
+        # One set of per-row grower buffers for every tree of the fit.
+        store = RowStore(n_rows)
         for it in range(self.n_estimators):
             grad, hess = loss.grad_hess(y, margin)
             rows = None
@@ -150,15 +152,9 @@ class GradientBoostingClassifier:
                 if not keep.any():
                     keep[rng.integers(0, n_rows)] = True
                 rows = np.flatnonzero(keep)
-            tree = Tree(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                min_child_weight=self.min_child_weight,
-                reg_lambda=self.reg_lambda,
-                gamma=self.gamma,
-                colsample=self.colsample,
-                tie_rtol=self.tie_rtol,
-            ).fit(codes, edges, grad, hess, rng=rng, rows=rows)
+            tree = self.new_tree().fit(
+                codes, edges, grad, hess, rng=rng, rows=rows, store=store
+            )
             self.trees_.append(tree)
             # Margin update: rows in the fit partition gather their leaf
             # directly; rows dropped by subsampling descend the pre-binned
@@ -190,6 +186,18 @@ class GradientBoostingClassifier:
             # trailing rounds grown while validation loss was worsening.
             del self.trees_[self.best_iteration_ + 1 :]
         return self
+
+    def new_tree(self) -> Tree:
+        """An unfitted tree with this model's growth hyperparameters."""
+        return Tree(
+            max_depth=self.max_depth,
+            min_samples_leaf=self.min_samples_leaf,
+            min_child_weight=self.min_child_weight,
+            reg_lambda=self.reg_lambda,
+            gamma=self.gamma,
+            colsample=self.colsample,
+            tie_rtol=self.tie_rtol,
+        )
 
     # ------------------------------------------------------------------
     # Prediction

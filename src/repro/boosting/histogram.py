@@ -16,10 +16,13 @@ Two layers live here:
   per level and shared by every column's bincount, and an all-rows root
   gathers nothing), and supports the LightGBM subtraction trick: a
   child's histogram is ``parent - sibling``, so only the smaller child
-  of each split is ever accumulated from rows.
-  :class:`SubtractionScheduler` does that bookkeeping for every grower,
-  the out-of-core one in ``boosting.stream`` included (its builder
-  gathers rows from scratch memmaps instead of index arrays).
+  of each split is ever accumulated from rows. Given ``piece_rows`` it
+  reads the level's rows in pieces of at most that many and carries the
+  running histogram from one piece into the next (see
+  :func:`level_histogram_partial`'s ``seed``), so a streamed tree's
+  histograms equal the one-piece in-memory ones bit for bit.
+  :class:`SubtractionScheduler` does the subtraction bookkeeping for
+  every grower.
 * the scalar helpers (:func:`feature_histogram`, :func:`split_gain`,
   :func:`best_split_for_feature`) — the audited single-feature reference
   kept for tests and documentation.
@@ -28,6 +31,7 @@ Two layers live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -87,6 +91,7 @@ def level_histogram_partial(
     stride: int,
     with_counts: bool = True,
     rows: "np.ndarray | None" = None,
+    seed: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Histogram block of one row chunk: ``(n_channels, m, n_cols, stride)``.
 
@@ -100,9 +105,15 @@ def level_histogram_partial(
     slice, which stays a contiguous read on the Fortran-ordered codes
     the builders keep. ``rows=None`` reads each column slice as is.
 
-    Partials over row chunks merge by :func:`merge_histograms`; the float
-    weight channels re-associate, so streamed histograms match in-memory
-    ones to ≤1e-9 relative (counts are exact).
+    ``seed``, the block of the rows before this chunk, continues that
+    accumulation instead of starting from zero: every weighted bincount
+    leads with one pseudo-row per (node, bin) — key ``arange(m *
+    stride)``, weight the seed's value — so each bin adds this chunk's
+    weights onto its running value in row order, and the result equals
+    one bincount over both chunks' rows bit for bit (counts are exact
+    integers and simply add). Partials over row chunks also merge by
+    :func:`merge_histograms`, but the float weight channels then
+    re-associate (≤1e-9 relative; counts are exact).
     """
     n_cols = codes.shape[1]
     n_channels = 3 if with_counts else 2
@@ -110,6 +121,7 @@ def level_histogram_partial(
     if m == 0:
         return out
     length = m * stride
+    lead = None if seed is None else np.arange(length)
     for j in range(n_cols):
         col = codes[:, j] if rows is None else codes[:, j].take(rows)
         if slots is None:
@@ -117,16 +129,16 @@ def level_histogram_partial(
             key = col.astype(np.intp)
         else:
             key = col + slots
-        out[0, :, j, :] = np.bincount(
-            key, weights=w0, minlength=length
-        ).reshape(m, stride)
-        out[1, :, j, :] = np.bincount(
-            key, weights=w1, minlength=length
-        ).reshape(m, stride)
+        seeded = key if seed is None else np.concatenate((lead, key))
+        for ch, w in enumerate((w0, w1)):
+            if seed is not None:
+                w = np.concatenate((seed[ch, :, j, :].ravel(), w))
+            out[ch, :, j, :] = np.bincount(
+                seeded, weights=w, minlength=length
+            ).reshape(m, stride)
         if with_counts:
-            out[2, :, j, :] = np.bincount(key, minlength=length).reshape(
-                m, stride
-            )
+            counts = np.bincount(key, minlength=length).reshape(m, stride)
+            out[2, :, j, :] = counts if seed is None else seed[2, :, j, :] + counts
     return out
 
 
@@ -157,6 +169,12 @@ class NodeHistogramBuilder:
     caller derives each remaining (larger) child as ``parent - sibling``
     with one vectorized subtraction per level — the histogram-subtraction
     trick: per split, rows of only the smaller child are ever touched.
+
+    ``piece_rows`` bounds the rows one bincount reads (``None``: no
+    bound). The concatenated rows are then read in pieces of at most that
+    many, each piece seeded with the block of the pieces before it, so
+    the per-bin order — and the block — is the one-piece one, and the
+    gathered temporaries stay O(piece).
     """
 
     def __init__(
@@ -166,6 +184,7 @@ class NodeHistogramBuilder:
         w0: np.ndarray,
         w1: np.ndarray,
         with_counts: bool = True,
+        piece_rows: "int | None" = None,
     ):
         if codes.ndim != 2:
             raise DataError("NodeHistogramBuilder expects a 2-D code matrix")
@@ -177,6 +196,7 @@ class NodeHistogramBuilder:
         self.n_cols = codes.shape[1]
         self.w0 = w0
         self.w1 = w1
+        self.piece_rows = max(1, codes.shape[0] if piece_rows is None else piece_rows)
 
     @batched_kernel(oracle="feature_histogram")
     def build_level(self, idx_list: "list[np.ndarray | None]") -> np.ndarray:
@@ -193,36 +213,57 @@ class NodeHistogramBuilder:
         m = len(idx_list)
         if m == 0:
             return np.empty((self.n_channels, 0, self.n_cols, self.stride))
-        if m == 1:
-            rows = idx_list[0]
-            slot = None
-        else:
-            rows = np.concatenate(idx_list)
-            sizes = [idx.size for idx in idx_list]
-            slot = np.repeat(np.arange(m, dtype=np.int64) * self.stride, sizes)
-        return level_histogram_partial(
-            self.codes,
-            slot,
-            self.w0 if rows is None else self.w0[rows],
-            self.w1 if rows is None else self.w1[rows],
-            m,
-            self.stride,
-            with_counts=self.n_channels == 3,
-            rows=rows,
-        )
+        block = None
+        for codes, rows, slot, w0, w1 in self._pieces(idx_list):
+            block = level_histogram_partial(
+                codes,
+                slot,
+                w0,
+                w1,
+                m,
+                self.stride,
+                with_counts=self.n_channels == 3,
+                rows=rows,
+                seed=block,
+            )
+        return block
+
+    def _pieces(self, idx_list: "list[np.ndarray | None]"):
+        """``(codes, rows, slots, w0, w1)`` per piece of the level's rows:
+        the nodes' rows concatenated in node order, cut every
+        ``piece_rows`` rows (always at least one piece)."""
+        step = self.piece_rows
+        if idx_list[0] is None:
+            n = self.codes.shape[0]
+            for lo in range(0, max(n, 1), step):
+                hi = lo + step
+                yield self.codes[lo:hi], None, None, self.w0[lo:hi], self.w1[lo:hi]
+            return
+        m = len(idx_list)
+        starts = [0, *accumulate(idx.size for idx in idx_list)]
+        total = starts[-1]
+        for lo in range(0, max(total, 1), step):
+            hi = min(lo + step, total)
+            owners = [k for k in range(m) if starts[k] < hi and starts[k + 1] > lo] or [0]
+            parts = [idx_list[k][max(lo - starts[k], 0) : hi - starts[k]] for k in owners]
+            rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            slot = None if m == 1 else np.repeat(
+                np.asarray(owners, dtype=np.int64) * self.stride, [p.size for p in parts]
+            )
+            yield self.codes, rows, slot, self.w0[rows], self.w1[rows]
 
 
 class SubtractionScheduler:
     """Per-level bookkeeping of the histogram-subtraction growth shared by
-    every level-order grower: the in-memory boosting and classification
-    trees and the out-of-core streaming grower (``boosting.stream``).
+    both level-order growers, the boosting tree (in memory and streamed)
+    and the classification tree.
 
     The growers hand over each realized split's children; a child is
     ``(node id, row count, build handle, will-be-searched)``, where the
-    row count is exact and the build handle is opaque — whatever the
-    builder's ``build_level`` accepts (row indices for
-    :class:`NodeHistogramBuilder`, a node id for the streaming grower's
-    scratch builder). The scheduler accumulates the smaller children to
+    row count is exact and the build handle is whatever the builder's
+    ``build_level`` accepts — for :class:`NodeHistogramBuilder`, the
+    child's row indices (the boosting tree hands a view of its level's
+    row segment). The scheduler accumulates the smaller children to
     build, remembers which larger siblings derive by parent-minus-sibling
     subtraction, and at level end materializes the next level's
     position-aligned ``(node ids, histogram block)`` groups: the

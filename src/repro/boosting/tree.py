@@ -37,19 +37,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, NotFittedError
+from ..exceptions import ConfigurationError, DataError, NotFittedError
 from .histogram import NodeHistogramBuilder, SubtractionScheduler, histogram_stride
 
 #: The ``tie_rtol`` the SAFE fit-time miners pass to their forests (the
 #: ranking/mining/importance models built in ``core.generation``,
-#: ``core.selection`` and ``core.stream``). Wide enough to absorb
-#: summation-grouping rounding between the in-memory and streaming
-#: histogram paths (which agree to ~1e-12 relative), narrow enough that
-#: near-coincidental gains from merely *correlated* (not duplicated)
-#: columns — separated by far more than accumulated rounding — keep
-#: resolving by magnitude. Models outside the SAFE fit (downstream
-#: classifiers, the audited references) keep the default ``tie_rtol=0``:
-#: the historical strict argmax, untouched.
+#: ``core.selection`` and ``core.stream``). It certifies the mining-GBM
+#: carry: a node whose near-tie set (see :func:`level_split_search`) lies
+#: inside its split feature picks the same split in a refit on any column
+#: subset that keeps the feature, and with ``tie_rtol=0`` no node is
+#: certified, so :func:`repro.boosting.carry.carried_paths` always
+#: refuses. Narrow enough that gains of merely *correlated* (not
+#: duplicated) columns keep resolving by magnitude. Models outside the
+#: SAFE fit keep the default ``tie_rtol=0``: the historical strict argmax.
 GAIN_TIE_RTOL = 1e-10
 
 
@@ -131,16 +131,10 @@ def level_split_search(
     ``tie_rtol > 0`` (the SAFE miners pass :data:`GAIN_TIE_RTOL`), a
     splittable node's winner is instead the *last* flat index (in
     (feature, bin) order) whose gain is within ``tie_rtol`` relative of
-    the maximum — the node's *near-tie set*: SAFE candidate pools routinely
-    contain equal-valued columns under different expressions, whose
-    mathematically tied gains round differently depending on summation
-    grouping, so a strict argmax would let the last ulp pick the winner
-    and the in-memory grower (one bincount per node) and the streaming
-    grower (merged per-chunk bincounts) could legitimately disagree. The
-    tolerance makes the pick a deterministic function of (feature, bin)
-    order whenever the two paths agree to ``tie_rtol``, which the
-    mergeable-kernel contract guarantees; both growers share this exact
-    search, so their merged histogram blocks resolve identically.
+    the maximum — the node's *near-tie set*. SAFE candidate pools
+    routinely contain equal or near-equal columns under different
+    expressions, and among them the pick is then a function of (feature,
+    bin) order rather than of the last ulp.
 
     When the near-tie set lies inside one feature, the pick is the same
     for any column subset that keeps the feature and in any column order
@@ -202,6 +196,39 @@ def level_split_search(
     return best_flat, best_gains, tie_in_feature
 
 
+class RowStore:
+    """The per-row buffers of :meth:`Tree.fit` and the piece size of its
+    passes over rows.
+
+    ``Tree.fit`` asks for every O(n_rows) buffer it uses by name — the
+    two row-index buffers whose segments are a level's nodes, the buffer
+    child sums are gathered into, the partition mask and the leaf ids —
+    and walks each one in pieces of at most ``piece_rows`` rows, so the
+    rest of its memory is O(piece). ``allocate(name, dtype, n_rows)``
+    makes a buffer, once per name; by default a fresh array, and the
+    whole fit is one piece. A GBM fit keeps one store for all its trees;
+    the streamed fit's (``boosting.stream``) maps scratch files and has
+    bounded pieces.
+    """
+
+    def __init__(self, n_rows: int, piece_rows: "int | None" = None, allocate=None):
+        self.n_rows = int(n_rows)
+        self.piece_rows = max(1, self.n_rows if piece_rows is None else int(piece_rows))
+        self._allocate = allocate or (lambda name, dtype, n: np.empty(n, dtype=dtype))
+        self._buffers: "dict[str, np.ndarray]" = {}
+
+    def buffer(self, name: str, dtype) -> np.ndarray:
+        """The 1-D ``n_rows`` buffer called ``name``, made on first use."""
+        if name not in self._buffers:
+            self._buffers[name] = self._allocate(name, np.dtype(dtype), self.n_rows)
+        return self._buffers[name]
+
+    def pieces(self, start: int, stop: int):
+        """``(lo, hi)`` bounds of the pieces that cover ``[start, stop)``."""
+        step = self.piece_rows
+        return ((lo, min(lo + step, stop)) for lo in range(start, stop, step))
+
+
 @dataclass
 class Tree:
     """A fitted regression tree in flat-array form.
@@ -254,6 +281,7 @@ class Tree:
         hess: np.ndarray,
         rng: "np.random.Generator | None" = None,
         rows: "np.ndarray | None" = None,
+        store: "RowStore | None" = None,
     ) -> "Tree":
         """Grow the tree on binned ``codes`` against ``grad``/``hess``.
 
@@ -264,19 +292,33 @@ class Tree:
         part of any node partition, so they count toward *nothing* — not
         ``min_samples_leaf``, not histogram bins, not ``n_samples``.
 
-        Growth is level-order. All histograms of one level are built in a
-        single batched pass (see ``NodeHistogramBuilder``), and per split
-        only the smaller child is accumulated from rows — its sibling's
-        histogram is ``parent - smaller``. After growth,
+        Growth is level-order. A level's nodes are contiguous segments,
+        each in row order, of one row-index buffer; a split partitions
+        its segment stably into its children's segments of the other
+        buffer. All histograms of one level are built in a single batched
+        pass (see ``NodeHistogramBuilder``), and per split only the
+        smaller child is accumulated from rows — its sibling's histogram
+        is ``parent - smaller``. A node's gradient/hessian sums are one
+        ``.sum()`` over its rows gathered in row order. After growth,
         ``fit_leaf_ids_`` holds each partitioned row's leaf node id (and
         -1 for rows excluded via ``rows``), which is what lets the caller
         turn the margin update into a gather instead of a fresh descent.
+
+        ``store`` (a :class:`RowStore` for ``codes.shape[0]`` rows) holds
+        every per-row buffer and sets the piece size of every pass over
+        rows; by default the buffers are fresh arrays and every pass is
+        one piece. ``fit_leaf_ids_`` is the store's leaf buffer.
         """
         if self.max_depth < 1:
             raise ConfigurationError("max_depth must be >= 1")
         n_rows, n_cols = codes.shape
         grad = np.asarray(grad, dtype=np.float64)
         hess = np.asarray(hess, dtype=np.float64)
+        if store is None:
+            store = RowStore(n_rows)
+        elif store.n_rows != n_rows:
+            raise DataError("row store and codes differ in row count")
+        pieces = store.pieces
         # Fixed-width histogram layout: every feature gets a slot of
         # `stride` bins, so one level's histograms are a dense
         # (n_channels, n_nodes, n_cols, stride) block.
@@ -290,45 +332,61 @@ class Tree:
         # consulted, so skip accumulating it entirely.
         with_counts = self.min_samples_leaf > 0
         builder = NodeHistogramBuilder(
-            codes, stride, grad, hess, with_counts=with_counts
+            codes, stride, grad, hess, with_counts, piece_rows=store.piece_rows
         )
         codes_f = builder.codes
+        # Level d's node segments live in segments[d % 2].
+        segments = (store.buffer("rows0", np.intp), store.buffer("rows1", np.intp))
+        gathered = store.buffer("gathered", np.float64)
+        go_left = store.buffer("go_left", np.bool_)
+        leaf_of_row = store.buffer("leaf", np.int64)
         nodes: list[dict] = []
 
-        def new_node(depth: int, idx: np.ndarray) -> int:
-            g_sum = float(grad[idx].sum())
-            h_sum = float(hess[idx].sum())
-            nodes.append(
-                {
-                    "feature": -1,
-                    "threshold": np.nan,
-                    "threshold_bin": -1,
-                    "left": -1,
-                    "right": -1,
-                    "value": -g_sum / (h_sum + self.reg_lambda),  # repro: ignore[div-guard] h_sum >= 0 and reg_lambda > 0
-                    "gain": 0.0,
-                    "n_samples": idx.size,
-                    "tie_in_feature": False,
-                    "_depth": depth,
-                    "_idx": idx,
-                    "_gsum": g_sum,
-                    "_hsum": h_sum,
-                }
-            )
+        def row_sums(w: np.ndarray, seg: np.ndarray, bounds: "list[int]") -> list:
+            # Per segment seg[bounds[i]:bounds[i + 1]], what ``w[idx].sum()``
+            # sums, the same way: the rows' values gathered contiguously in
+            # row order, then one ``.sum()``.
+            for lo, hi in pieces(bounds[0], bounds[-1]):
+                w.take(seg[lo:hi], out=gathered[lo:hi], mode="clip")
+            return [float(gathered[a:b].sum()) for a, b in zip(bounds, bounds[1:])]
+
+        def new_node(depth: int, start: int, stop: int, g_sum: float, h_sum: float) -> int:
+            nodes.append(dict(
+                feature=-1, threshold=np.nan, threshold_bin=-1, left=-1, right=-1,
+                value=-g_sum / (h_sum + self.reg_lambda),  # repro: ignore[div-guard] h_sum >= 0 and reg_lambda > 0
+                gain=0.0, n_samples=stop - start, tie_in_feature=False,
+                _depth=depth, _start=start, _stop=stop, _gsum=g_sum, _hsum=h_sum,
+            ))
             return len(nodes) - 1
 
         def searchable(node_id: int) -> bool:
             node = nodes[node_id]
             return not (
                 node["_depth"] >= self.max_depth
-                or node["_idx"].size < 2 * self.min_samples_leaf
+                or node["n_samples"] < 2 * self.min_samples_leaf
                 or node["_hsum"] < 2 * self.min_child_weight
             )
 
-        root_idx = (
-            np.arange(n_rows) if rows is None else np.asarray(rows, dtype=np.int64)
-        )
-        root = new_node(0, root_idx)
+        def make_leaf(node_id: int) -> None:
+            node = nodes[node_id]
+            seg = segments[node["_depth"] % 2]
+            for lo, hi in pieces(node["_start"], node["_stop"]):
+                leaf_of_row[seg[lo:hi]] = node_id
+
+        root_seg = segments[0]
+        if rows is None:
+            n_root = n_rows
+            for lo, hi in pieces(0, n_rows):
+                root_seg[lo:hi] = np.arange(lo, hi)
+            root = new_node(0, 0, n_root, float(grad.sum()), float(hess.sum()))
+        else:
+            rows = np.asarray(rows, dtype=np.int64)
+            n_root = rows.size
+            root_seg[:n_root] = rows
+            for lo, hi in pieces(0, n_rows):
+                leaf_of_row[lo:hi] = -1
+            (g_sum,), (h_sum,) = (row_sums(w, root_seg, [0, n_root]) for w in (grad, hess))
+            root = new_node(0, 0, n_root, g_sum, h_sum)
         all_cols = np.arange(n_cols)
         n_sub = max(1, int(round(self.colsample * n_cols)))
         lam = self.reg_lambda
@@ -342,16 +400,20 @@ class Tree:
         if searchable(root):
             # Without ``rows`` the root holds every row: the builder reads
             # the column slices as they are instead of gathering them.
-            handle = None if rows is None else root_idx
+            handle = None if rows is None else root_seg[:n_root]
             groups = [([root], builder.build_level([handle]))]
+        else:
+            make_leaf(root)
         scheduler = SubtractionScheduler(builder)
+        depth = 0
         while groups:
+            cur, nxt = segments[depth % 2], segments[(depth + 1) % 2]
             scheduler.begin_level()
             for group_i, (ids, block) in enumerate(groups):
                 m = len(ids)
                 g_sums = np.array([nodes[i]["_gsum"] for i in ids])
                 h_sums = np.array([nodes[i]["_hsum"] for i in ids])
-                sizes = np.array([float(nodes[i]["_idx"].size) for i in ids])
+                sizes = np.array([float(nodes[i]["n_samples"]) for i in ids])
                 # Batched split search over the whole group (see
                 # level_split_search): one cumsum scans all candidate
                 # boundaries of all (node, feature) pairs and the block
@@ -380,55 +442,66 @@ class Tree:
                 )
                 for pos, node_id in enumerate(ids):
                     best_gain = float(best_gains[pos])
-                    if not np.isfinite(best_gain) or best_gain <= 0:
-                        continue
                     node = nodes[node_id]
-                    idx = node["_idx"]
+                    start, stop = node["_start"], node["_stop"]
                     j, b = divmod(int(best_flat[pos]), stride)
-                    col_edges = edges[j]
-                    # bin b is the last bin that goes left; x <= edges[b]
-                    # goes left. If b exceeds the interior edges (can only
-                    # happen when the "real value vs missing" boundary is
-                    # chosen), the threshold is +inf: every real value goes
-                    # left, missing goes right.
-                    threshold = float(col_edges[b]) if b < len(col_edges) else np.inf
-                    go_left = codes_f[:, j].take(idx) <= b
-                    left_idx = idx[go_left]
-                    right_idx = idx[~go_left]
-                    if left_idx.size == 0 or right_idx.size == 0:
+                    # Partition in two passes: mark the rows going left
+                    # (x <= edges[b], i.e. code <= b) and count them, then
+                    # write each child's segment in row order.
+                    n_lefts = []
+                    if np.isfinite(best_gain) and best_gain > 0:
+                        col = codes_f[:, j]
+                        for lo, hi in pieces(start, stop):
+                            np.less_equal(col.take(cur[lo:hi]), b, out=go_left[lo:hi])
+                            n_lefts.append(int(np.count_nonzero(go_left[lo:hi])))
+                    mid = start + sum(n_lefts)
+                    if mid in (start, stop):
+                        make_leaf(node_id)
                         continue
+                    left_at, right_at = start, mid
+                    for (lo, hi), n_left in zip(pieces(start, stop), n_lefts):
+                        # compress, not seg[mask]: the same rows in order, and
+                        # several times faster on an irregular mask.
+                        seg, mask = cur[lo:hi], go_left[lo:hi]
+                        np.compress(mask, seg, out=nxt[left_at : left_at + n_left])
+                        left_at += n_left
+                        np.logical_not(mask, out=mask)
+                        n_right = hi - lo - n_left
+                        np.compress(mask, seg, out=nxt[right_at : right_at + n_right])
+                        right_at += n_right
+                    # bin b is the last bin that goes left. If b exceeds
+                    # the interior edges (can only happen when the "real
+                    # value vs missing" boundary is chosen), the threshold
+                    # is +inf: every real value goes left, missing goes
+                    # right.
+                    col_edges = edges[j]
                     node["feature"] = j
-                    node["threshold"] = threshold
+                    node["threshold"] = (
+                        float(col_edges[b]) if b < len(col_edges) else np.inf
+                    )
                     node["threshold_bin"] = b
                     node["gain"] = best_gain
                     node["tie_in_feature"] = bool(tie_flags[pos])
-                    left_id = new_node(node["_depth"] + 1, left_idx)
-                    right_id = new_node(node["_depth"] + 1, right_idx)
-                    node["left"] = left_id
-                    node["right"] = right_id
-                    scheduler.add_split(
-                        group_i,
-                        pos,
-                        (left_id, left_idx.size, left_idx, searchable(left_id)),
-                        (right_id, right_idx.size, right_idx, searchable(right_id)),
-                    )
+                    child_g = row_sums(grad, nxt, [start, mid, stop])
+                    child_h = row_sums(hess, nxt, [start, mid, stop])
+                    children = []
+                    for lo, hi, g_sum, h_sum in zip((start, mid), (mid, stop), child_g, child_h):
+                        child = new_node(depth + 1, lo, hi, g_sum, h_sum)
+                        search = searchable(child)
+                        children.append((child, hi - lo, nxt[lo:hi], search))
+                        if not search:
+                            make_leaf(child)
+                    node["left"], node["right"] = children[0][0], children[1][0]
+                    scheduler.add_split(group_i, pos, children[0], children[1])
             groups = scheduler.finish_level(groups)
+            depth += 1
 
-        self.feature = np.array([n["feature"] for n in nodes], dtype=np.int64)
-        self.threshold = np.array([n["threshold"] for n in nodes], dtype=np.float64)
-        self.threshold_bin = np.array([n["threshold_bin"] for n in nodes], dtype=np.int64)
-        self.left = np.array([n["left"] for n in nodes], dtype=np.int64)
-        self.right = np.array([n["right"] for n in nodes], dtype=np.int64)
-        self.value = np.array([n["value"] for n in nodes], dtype=np.float64)
-        self.gain = np.array([n["gain"] for n in nodes], dtype=np.float64)
-        self.n_samples = np.array([n["n_samples"] for n in nodes], dtype=np.int64)
-        self.tie_in_feature = np.array(
-            [n["tie_in_feature"] for n in nodes], dtype=bool
-        )
-        self.fit_leaf_ids_ = np.full(n_rows, -1, dtype=np.int64)
-        for i, n in enumerate(nodes):
-            if n["feature"] == -1:
-                self.fit_leaf_ids_[n["_idx"]] = i
+        for name in ("feature", "threshold_bin", "left", "right", "n_samples"):
+            setattr(self, name, np.array([n[name] for n in nodes], dtype=np.int64))
+        for name in ("threshold", "value", "gain"):
+            setattr(self, name, np.array([n[name] for n in nodes], dtype=np.float64))
+        self.tie_in_feature = np.array([n["tie_in_feature"] for n in nodes], dtype=bool)
+        self.fit_leaf_ids_ = leaf_of_row
         return self
 
     # ------------------------------------------------------------------

@@ -60,9 +60,9 @@ class SAFEConfig:
         still be dropped by selection, as in the paper).
     n_jobs:
         Validated (``>= 1``, or ``-1``) but has no effect: every fit runs
-        serially in-process (see :mod:`repro.parallel`). The field stays
-        because every config fingerprint, and hence every checkpoint,
-        includes it.
+        serially in-process (see :mod:`repro.parallel`). Config
+        fingerprints hash it as 1, so a checkpoint resumes at any
+        ``n_jobs`` (see :func:`repro.runtime.checkpoint.config_fingerprint`).
     on_operator_error:
         ``"quarantine"`` (default) removes an expression whose operator
         raises — or whose generated column has no finite value — from

@@ -38,6 +38,7 @@ from ..operators.expressions import Expression, Var
 from ..runtime.checkpoint import (
     CheckpointManager,
     config_fingerprint,
+    legacy_config_fingerprint,
     schema_fingerprint,
 )
 from ..runtime.failpoints import failpoint
@@ -204,6 +205,7 @@ class SAFE(AutoFeatureEngineer):
         runtime_report = RuntimeReport()
         self.runtime_report_ = runtime_report
         fingerprint = config_fingerprint(cfg, train.names)
+        legacy_fingerprints = (legacy_config_fingerprint(cfg, train.names),)
         mining_params = {
             "n_estimators": cfg.mining_n_estimators,
             "max_depth": cfg.mining_max_depth,
@@ -218,7 +220,9 @@ class SAFE(AutoFeatureEngineer):
         manager: "CheckpointManager | None" = None
         if checkpoint_dir is not None:
             manager = CheckpointManager(checkpoint_dir)
-            state, skipped = manager.latest(expected_config_hash=fingerprint)
+            state, skipped = manager.latest(
+                expected_config_hash=fingerprint, also_accept=legacy_fingerprints
+            )
             runtime_report.checkpoints_skipped.extend(skipped)
             if state is not None:
                 # Resume: the survivors become the working feature set and

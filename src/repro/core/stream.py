@@ -35,11 +35,11 @@ admits *row-wise stateless* operators (``Operator.rowwise`` and not
 ``i``, so chunked evaluation is bit-identical to full-matrix evaluation.
 
 Parity with the in-memory fit: every count-valued statistic merges in
-exact integer arithmetic, so with ``sketch="exact"`` (bit-identical
-quantile edges) the selected Ψ reproduces the in-memory fit's on
-fixed-seed workloads; float accumulations (GBM leaf values, Gram
-panels) re-associate and match to ≤1e-9 relative, so gain ties at the
-last ulp are the one place tree structure can legitimately differ. With
+exact integer arithmetic, and every streamed GBM tree equals the
+in-memory one in every field (both grow through ``Tree.fit``), so with
+``sketch="exact"`` (bit-identical quantile edges) the selected Ψ
+reproduces the in-memory fit's; the redundancy stage's moment and Gram
+panels re-associate float sums and match to ≤1e-9 relative. With
 ``sketch="merge"`` edges are approximate: an n-row column's edges lie
 within O(n / capacity) ranks of the exact ones (the tests allow
 10·n/capacity; at the default capacity of 4096, 64-bin edges of 40k-row
@@ -67,6 +67,7 @@ from ..runtime.checkpoint import (
     CheckpointManager,
     StatsCheckpointStore,
     config_fingerprint,
+    legacy_config_fingerprint,
     schema_fingerprint,
 )
 from ..runtime.failpoints import failpoint
@@ -420,6 +421,7 @@ def fit_safe_streaming(
     safe.runtime_report_ = runtime_report
     runtime_report.chunks_quarantined.extend(train.quarantined_chunks())
     fingerprint = config_fingerprint(cfg, train.names)
+    legacy_fingerprints = (legacy_config_fingerprint(cfg, train.names),)
     # Paths of the previous ranking GBM that this iteration's mining GBM
     # would regrow (see _next_mining_paths); None means fit it.
     carried = None
@@ -428,7 +430,9 @@ def fit_safe_streaming(
     stats_store: "StatsCheckpointStore | None" = None
     if checkpoint_dir is not None:
         manager = CheckpointManager(checkpoint_dir)
-        state, skipped = manager.latest(expected_config_hash=fingerprint)
+        state, skipped = manager.latest(
+            expected_config_hash=fingerprint, also_accept=legacy_fingerprints
+        )
         runtime_report.checkpoints_skipped.extend(skipped)
         if state is not None:
             expressions = list(state.expressions)
@@ -437,7 +441,7 @@ def fit_safe_streaming(
             safe.traces_ = [_trace_from_scalars(t) for t in state.traces]
             carried = state.carried_paths
         stats_store = StatsCheckpointStore(
-            manager.directory / "stats", fingerprint
+            manager.directory / "stats", fingerprint, legacy_fingerprints
         )
 
     for iteration in range(start_iteration, cfg.n_iterations):

@@ -70,11 +70,31 @@ def config_fingerprint(config, names: Sequence[str]) -> str:
     ``config`` is any dataclass (in practice
     :class:`~repro.core.SAFEConfig`); non-JSON field values are rendered
     via ``str`` so custom operator tuples etc. still fingerprint stably.
+    An ``n_jobs`` field is hashed as 1: it does not change the fit, so a
+    rerun that changes only ``n_jobs`` resumes from the same checkpoints
+    (and every ``n_jobs=1`` fingerprint is what it always was).
     """
+    payload = _config_payload(config)
+    if "n_jobs" in payload:
+        payload["n_jobs"] = 1
+    return _fingerprint(payload, names)
+
+
+def legacy_config_fingerprint(config, names: Sequence[str]) -> str:
+    """The fingerprint of ``config`` as given, ``n_jobs`` included: what
+    checkpoints written before :func:`config_fingerprint` dropped
+    ``n_jobs`` carry. Resume accepts it too, so such a checkpoint still
+    resumes a fit with the same ``n_jobs``."""
+    return _fingerprint(_config_payload(config), names)
+
+
+def _config_payload(config) -> dict:
     if dataclasses.is_dataclass(config):
-        payload = dataclasses.asdict(config)
-    else:
-        payload = dict(config)
+        return dataclasses.asdict(config)
+    return dict(config)
+
+
+def _fingerprint(payload: dict, names: Sequence[str]) -> str:
     body = {"config": payload, "schema": list(names)}
     return _sha256(json.dumps(body, sort_keys=True, default=str))
 
@@ -155,9 +175,17 @@ class CheckpointManager:
 
     # ------------------------------------------------------------------
     def load(
-        self, path: "str | Path", expected_config_hash: "str | None" = None
+        self,
+        path: "str | Path",
+        expected_config_hash: "str | None" = None,
+        also_accept: Sequence[str] = (),
     ) -> CheckpointState:
-        """Parse + validate one checkpoint file; raise CheckpointError."""
+        """Parse + validate one checkpoint file; raise CheckpointError.
+
+        With ``expected_config_hash`` set, the checkpoint's fingerprint
+        must equal it or one of ``also_accept`` (legacy fingerprints of
+        the same config, see :func:`legacy_config_fingerprint`).
+        """
         failpoint("checkpoint.read")
         path = Path(path)
         try:
@@ -184,7 +212,10 @@ class CheckpointManager:
                 f"expected {CHECKPOINT_FORMAT!r}"
             )
         config_hash = payload.get("config_hash", "")
-        if expected_config_hash is not None and config_hash != expected_config_hash:
+        if expected_config_hash is not None and config_hash not in (
+            expected_config_hash,
+            *also_accept,
+        ):
             raise CheckpointError(
                 f"checkpoint {path} was written by a different config/schema "
                 "(fingerprint mismatch)"
@@ -222,7 +253,9 @@ class CheckpointManager:
         )
 
     def latest(
-        self, expected_config_hash: "str | None" = None
+        self,
+        expected_config_hash: "str | None" = None,
+        also_accept: Sequence[str] = (),
     ) -> "tuple[CheckpointState | None, list[str]]":
         """Newest valid checkpoint plus the skip reasons for invalid ones.
 
@@ -233,7 +266,7 @@ class CheckpointManager:
         skipped: "list[str]" = []
         for path in self.checkpoint_paths():
             try:
-                return self.load(path, expected_config_hash), skipped
+                return self.load(path, expected_config_hash, also_accept), skipped
             except (CheckpointError, InjectedFault) as exc:
                 skipped.append(str(exc))
         return None, skipped
@@ -366,10 +399,17 @@ class StatsCheckpointStore:
     lands, so stale statistics can never leak across iterations.
     """
 
-    def __init__(self, directory: "str | Path", config_hash: str) -> None:
+    def __init__(
+        self,
+        directory: "str | Path",
+        config_hash: str,
+        also_accept: Sequence[str] = (),
+    ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.config_hash = config_hash
+        # Fingerprints load() also accepts (writes always use config_hash).
+        self.also_accept = tuple(also_accept)
         self.written = 0
         self.resumed: "list[str]" = []
         self.skipped: "list[str]" = []
@@ -447,7 +487,7 @@ class StatsCheckpointStore:
                 f"expected {STATS_FORMAT!r}"
             )
             return MISSING
-        if meta.get("config_hash") != self.config_hash:
+        if meta.get("config_hash") not in (self.config_hash, *self.also_accept):
             self.skipped.append(
                 f"stats snapshot {path.name}: config/schema fingerprint mismatch"
             )

@@ -8,8 +8,9 @@ kernels (integer counts merge exactly; float sums agree to <=1e-9 and
 the miners' shared split search breaks gain near-ties deterministically
 in (feature, bin) order via ``tie_rtol=GAIN_TIE_RTOL``).
 
-Also covered: the streaming GBM grower against the in-memory one on
-tie-heavy inputs (duplicate columns, tiny leaves), quarantine and
+Also covered: streamed GBM trees against in-memory ones, equal in every
+field on tie-heavy inputs (duplicate columns, tiny leaves) below and
+above the scratch piece size, quarantine and
 checkpoint-resume parity across the two paths, the streamability
 rejections, and the tier-1 memory gate — the streaming fit's tracemalloc
 peak stays under a fixed ceiling that the in-memory fit on the same
@@ -22,6 +23,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.boosting import GradientBoostingClassifier
 from repro.boosting.tree import GAIN_TIE_RTOL
@@ -30,6 +33,7 @@ from repro.boosting.stream import fit_gbm_streaming
 from repro.core import SAFE, SAFEConfig
 from repro.exceptions import ConfigurationError, DataError
 from repro.runtime.failpoints import active
+from repro.tabular.binning import quantile_codes_matrix
 from repro.tabular.dataset import Dataset
 from repro.tabular.io import ChunkedDataset
 
@@ -45,6 +49,25 @@ def _workload(seed, n, k):
 
 def _keys(transformer):
     return tuple(e.key for e in transformer.expressions)
+
+
+#: Every array field of a fitted ``Tree``.
+_TREE_FIELDS = (
+    "feature",
+    "threshold",
+    "threshold_bin",
+    "left",
+    "right",
+    "value",
+    "gain",
+    "n_samples",
+    "tie_in_feature",
+)
+
+
+def _assert_trees_equal(a, b):
+    for name in _TREE_FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True), name
 
 
 class TestPsiParity:
@@ -144,10 +167,8 @@ class TestGbmStreamingParity:
             for a, b in zip(ref.trees_, streamed.trees_):
                 assert np.array_equal(a.feature, b.feature)
                 assert np.array_equal(a.threshold_bin, b.threshold_bin)
-                np.testing.assert_allclose(a.value, b.value, rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(
-                ref.predict_proba(X), streamed.predict_proba(X), rtol=1e-9, atol=1e-12
-            )
+                assert np.array_equal(a.value, b.value)
+            assert np.array_equal(ref.predict_proba(X), streamed.predict_proba(X))
 
     @staticmethod
     def _fit_both(X, y, chunk, **params):
@@ -169,8 +190,7 @@ class TestGbmStreamingParity:
         fit_gbm_streaming(streamed, chunks, n, k, sketch="exact")
         assert len(ref.trees_) == len(streamed.trees_)
         for a, b in zip(ref.trees_, streamed.trees_):
-            for name in ("feature", "threshold_bin", "left", "right", "n_samples"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            _assert_trees_equal(a, b)
         return ref
 
     def test_histograms_built_across_scratch_chunks_match(self, monkeypatch):
@@ -207,6 +227,62 @@ class TestGbmStreamingParity:
                     and node_depth[i] + 1 < depth
                 )
         assert build_only > 0
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**16),
+        piece=st.integers(8, 64),
+        tie_rtol=st.sampled_from([0.0, GAIN_TIE_RTOL]),
+        min_samples_leaf=st.sampled_from([0, 1, 3]),
+    )
+    @example(
+        data=None, seed=3, piece=37, tie_rtol=GAIN_TIE_RTOL, min_samples_leaf=1
+    )
+    def test_streamed_trees_equal_in_memory_trees(
+        self, data, seed, piece, tie_rtol, min_samples_leaf
+    ):
+        """Every field of every tree, and the probabilities, bit for bit:
+        NaN, ±inf, constant and duplicate columns, from one scratch piece
+        to about ten, with input chunks unrelated to the piece size."""
+        if data is None:
+            n, chunk = 331, 50
+        else:
+            n = data.draw(st.integers(1, 10 * piece), label="n_rows")
+            chunk = data.draw(st.integers(1, n), label="chunk_rows")
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=n)
+        X = np.column_stack(
+            [x, rng.normal(size=n), np.full(n, 2.5), x, rng.normal(size=n)]
+        )
+        X[rng.random(size=n) < 0.1, 0] = np.nan
+        X[rng.random(size=n) < 0.05, 1] = np.inf
+        X[rng.random(size=n) < 0.05, 1] = -np.inf
+        y = (np.nan_to_num(x) + 0.7 * rng.normal(size=n) > 0).astype(np.float64)
+        params = dict(
+            n_estimators=3,
+            max_depth=3,
+            learning_rate=0.3,
+            max_bins=16,
+            min_samples_leaf=min_samples_leaf,
+            tie_rtol=tie_rtol,
+            random_state=0,
+        )
+        ref = GradientBoostingClassifier(**params).fit(X, y)
+        streamed = GradientBoostingClassifier(**params)
+
+        def chunks():
+            for lo in range(0, n, chunk):
+                yield range(lo, min(lo + chunk, n)), X[lo : lo + chunk], y[lo : lo + chunk]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(boosting_stream, "_SCRATCH_ROWS", piece)
+            fit_gbm_streaming(streamed, chunks, n, X.shape[1], sketch="exact")
+        assert len(ref.trees_) == len(streamed.trees_)
+        for a, b in zip(ref.trees_, streamed.trees_):
+            _assert_trees_equal(a, b)
+        assert np.array_equal(ref.predict_proba(X), streamed.predict_proba(X))
 
 
 class TestPassCount:
@@ -358,4 +434,39 @@ class TestMemoryGate:
         assert mem_peak >= 8 * stream_peak, (
             f"in-memory peak {mem_peak / 1e6:.1f} MB is not 8x the streaming "
             f"peak {stream_peak / 1e6:.1f} MB; the gate is not discriminating"
+        )
+
+    def test_multi_piece_gbm_peak_is_bounded_by_the_piece(self, monkeypatch):
+        """Tracemalloc gate on trees grown over 32 scratch pieces: every
+        pass over rows holds O(piece) memory (about 100 bytes per piece
+        row measured: gathered rows, node slots, weights, bincount keys),
+        and nothing holds even one float64 vector of ``n_rows``."""
+        piece, chunk = 4096, 3000
+        n, k = 32 * piece, 4
+        monkeypatch.setattr(boosting_stream, "_SCRATCH_ROWS", piece)
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(n, k))
+        X[rng.random(size=n) < 0.05, 1] = np.nan
+        y = (X[:, 0] + 0.5 * rng.normal(size=n) > 0).astype(np.float64)
+        _, edges = quantile_codes_matrix(X, max_bins=32)
+        model = GradientBoostingClassifier(
+            n_estimators=3, max_depth=4, max_bins=32, tie_rtol=GAIN_TIE_RTOL
+        )
+
+        def chunks():
+            for lo in range(0, n, chunk):
+                yield range(lo, min(lo + chunk, n)), X[lo : lo + chunk], y[lo : lo + chunk]
+
+        tracemalloc.start()
+        try:
+            fit_gbm_streaming(model, chunks, n, k, edges=edges)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(model.trees_) == 3 and model.trees_[0].feature[0] >= 0
+        bound = 160 * piece
+        assert bound < n * 8
+        assert peak < bound, (
+            f"streamed GBM peaked at {peak} bytes, over {bound} "
+            f"(160 bytes per row of a {piece}-row piece)"
         )

@@ -305,3 +305,87 @@ class TestStatsCheckpointStore:
         store = self._store(tmp_path)
         with pytest.raises(CheckpointError):
             store.save("stage", {"bad": np.array([object()])})
+
+
+class TestNJobsLeavesTheFingerprint:
+    """``n_jobs`` has no effect on the fit, so it is hashed as 1: a rerun
+    that changes only ``n_jobs`` resumes, and checkpoints written under the
+    earlier fingerprint (``n_jobs`` as given) still resume at that
+    ``n_jobs``."""
+
+    SIXTEEN = tuple(f"x{i}" for i in range(16))
+
+    def test_default_fingerprint_is_unchanged(self):
+        from repro.runtime.checkpoint import legacy_config_fingerprint
+
+        default = config_fingerprint(SAFEConfig(), self.SIXTEEN)
+        assert default.startswith("218cb2ae58050699")
+        assert config_fingerprint(SAFEConfig(n_jobs=2), self.SIXTEEN) == default
+        assert config_fingerprint(SAFEConfig(n_jobs=-1), self.SIXTEEN) == default
+        assert legacy_config_fingerprint(SAFEConfig(), self.SIXTEEN) == default
+        legacy = legacy_config_fingerprint(SAFEConfig(n_jobs=2), self.SIXTEEN)
+        assert legacy.startswith("449081b5ab13b725")
+
+    @staticmethod
+    def _killed_after_iteration_0(data, ckpt, n_jobs):
+        from repro.core import SAFE
+
+        with active("pipeline.iteration", mode="nth", nth=1):
+            with pytest.raises(InjectedFault):
+                SAFE(SAFEConfig(n_iterations=2, gamma=10, random_state=0, n_jobs=n_jobs)).fit(
+                    data, checkpoint_dir=ckpt
+                )
+
+    def test_rerun_at_other_n_jobs_resumes(self, linear_data, tmp_path):
+        import numpy as np
+
+        from repro.core import SAFE
+
+        cfg = SAFEConfig(n_iterations=2, gamma=10, random_state=0, n_jobs=1)
+        reference = SAFE(cfg).fit(linear_data)
+        self._killed_after_iteration_0(linear_data, tmp_path, n_jobs=2)
+        resumed = SAFE(cfg)
+        psi = resumed.fit(linear_data, checkpoint_dir=tmp_path)
+        assert resumed.runtime_report_.resumed_from_iteration == 0
+        assert psi.feature_keys == reference.feature_keys
+        assert np.array_equal(
+            psi.transform_matrix(linear_data.X),
+            reference.transform_matrix(linear_data.X),
+        )
+
+    def test_checkpoint_under_the_old_fingerprint_resumes(self, linear_data, tmp_path):
+        import hashlib
+
+        from repro.core import SAFE
+        from repro.runtime.checkpoint import legacy_config_fingerprint
+
+        cfg = SAFEConfig(n_iterations=2, gamma=10, random_state=0, n_jobs=2)
+        self._killed_after_iteration_0(linear_data, tmp_path, n_jobs=2)
+        # Rewrite the checkpoint as a fit before the change wrote it.
+        (path,) = CheckpointManager(tmp_path).checkpoint_paths()
+        record = json.loads(path.read_text())
+        record["payload"]["config_hash"] = legacy_config_fingerprint(
+            cfg, linear_data.names
+        )
+        body = json.dumps(record["payload"], sort_keys=True)
+        record["checksum"] = hashlib.sha256(body.encode()).hexdigest()
+        path.write_text(json.dumps(record))
+        resumed = SAFE(cfg)
+        resumed.fit(linear_data, checkpoint_dir=tmp_path)
+        assert resumed.runtime_report_.resumed_from_iteration == 0
+
+    def test_stats_snapshot_under_the_old_fingerprint_loads(self, tmp_path):
+        from repro.runtime.checkpoint import (
+            MISSING,
+            StatsCheckpointStore,
+            legacy_config_fingerprint,
+        )
+
+        cfg = SAFEConfig(n_jobs=2)
+        legacy = legacy_config_fingerprint(cfg, NAMES)
+        StatsCheckpointStore(tmp_path, legacy).save("stage", {"x": 1})
+        current = config_fingerprint(cfg, NAMES)
+        assert StatsCheckpointStore(tmp_path, current).load("stage") is MISSING
+        store = StatsCheckpointStore(tmp_path, current, also_accept=(legacy,))
+        assert store.load("stage") == {"x": 1}
+        assert store.skipped == []
