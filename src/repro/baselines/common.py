@@ -60,7 +60,6 @@ def run_generation_and_selection(
     ranked: "list[RankedCombination]",
     operator_names: tuple[str, ...],
     train: Dataset,
-    valid: "Dataset | None",
     max_output: "int | None",
     iv_threshold: float,
     iv_bins: int,
@@ -83,21 +82,14 @@ def run_generation_and_selection(
         cache=train_cache,
     )
     candidates: list[Expression] = base + new_exprs
-    # Both evaluate_forest blocks are freshly allocated (cache columns are
-    # copied into them), so clean_matrix may sanitize in place.
+    # The evaluate_forest block is freshly allocated (cache columns are
+    # copied into it), so clean_matrix may sanitize in place.
     X_cand = clean_matrix(evaluate_forest(candidates, cache=train_cache), copy=False)
-    eval_cand = None
-    if valid is not None and valid.y is not None:
-        eval_cand = (
-            clean_matrix(evaluate_forest(candidates, valid.X), copy=False),
-            valid.y,
-        )
     if max_output is None:
         max_output = 2 * train.n_cols
     report = select_features(
         X_cand,
         y,
-        eval_cand,
         alpha=iv_threshold,
         iv_bins=iv_bins,
         theta=pearson_threshold,

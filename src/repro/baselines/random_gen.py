@@ -21,7 +21,7 @@ from ..tabular.dataset import Dataset
 from ..tabular.preprocess import clean_matrix
 from ..utils import check_random_state
 from .common import pairs_to_combinations, run_generation_and_selection, sample_combinations
-from ..core.interface import AutoFeatureEngineer
+from ..core.interface import AutoFeatureEngineer, check_valid
 
 
 @dataclass
@@ -37,6 +37,7 @@ class RandomGenerator(AutoFeatureEngineer):
     def fit(
         self, train: Dataset, valid: "Dataset | None" = None
     ) -> FeatureTransformer:
+        check_valid(train, valid)
         cfg = self.config
         rng = check_random_state(cfg.random_state)
         pool = self._feature_pool(train, valid)
@@ -55,7 +56,6 @@ class RandomGenerator(AutoFeatureEngineer):
             ranked,
             cfg.operators,
             train,
-            valid,
             max_output=cfg.max_output_features,
             iv_threshold=cfg.iv_threshold,
             iv_bins=cfg.iv_bins,
@@ -76,13 +76,9 @@ class ImportantGenerator(RandomGenerator):
     def _feature_pool(self, train: Dataset, valid: "Dataset | None") -> list[int]:
         cfg = self.config
         y = train.require_labels()
-        eval_set = None
-        if valid is not None and valid.y is not None:
-            eval_set = (clean_matrix(valid.X), valid.y)
         model = fit_mining_model(
             clean_matrix(train.X),
             y,
-            eval_set,
             n_estimators=cfg.mining_n_estimators,
             max_depth=cfg.mining_max_depth,
             learning_rate=cfg.mining_learning_rate,

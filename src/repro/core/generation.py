@@ -77,7 +77,6 @@ def mining_model(
 def fit_mining_model(
     X: np.ndarray,
     y: np.ndarray,
-    eval_set: "tuple[np.ndarray, np.ndarray] | None",
     n_estimators: int,
     max_depth: int,
     learning_rate: float,
@@ -85,7 +84,7 @@ def fit_mining_model(
 ) -> GradientBoostingClassifier:
     """Train the path-mining GBM (Algorithm 1 line 3)."""
     model = mining_model(n_estimators, max_depth, learning_rate, random_state)
-    model.fit(X, y, eval_set=eval_set)
+    model.fit(X, y)
     return model
 
 

@@ -10,8 +10,18 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+from ..exceptions import DataError
 from ..tabular.dataset import Dataset
 from .transform import FeatureTransformer
+
+
+def check_valid(train: Dataset, valid: "Dataset | None") -> None:
+    """Raise :class:`DataError` when ``valid``'s width differs from ``train``'s."""
+    if valid is not None and valid.n_cols != train.n_cols:
+        raise DataError(
+            f"validation set has {valid.n_cols} columns, "
+            f"training set has {train.n_cols}"
+        )
 
 
 class AutoFeatureEngineer(ABC):
@@ -25,6 +35,13 @@ class AutoFeatureEngineer(ABC):
         self, train: Dataset, valid: "Dataset | None" = None
     ) -> FeatureTransformer:
         """Learn a feature-generation function Ψ from labeled data.
+
+        ``valid`` is checked and otherwise unused: no method here tunes
+        on a validation set. SAFE, RAND and IMP raise
+        :class:`~repro.exceptions.DataError` through
+        :func:`check_valid` when its column count differs from
+        ``train``'s; the other baselines ignore it. The harness and
+        ``repro fit --valid`` pass it so every method sees the same call.
 
         Implementations may additionally accept a
         :class:`~repro.tabular.ChunkedDataset` as ``train`` to fit out

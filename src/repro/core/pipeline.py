@@ -18,6 +18,11 @@ Each iteration:
 8. rank the rest by GBM gain and truncate to the output budget (line 10);
 9. the survivors become the next iteration's base features (line 11).
 
+The loop is written once, in :func:`run_algorithm1`, over a row source
+that runs the data-touching stages: :class:`MatrixSource` holds the
+training rows in memory, and :class:`repro.core.stream.ChunkSource`
+streams them chunk-at-a-time out of core.
+
 The fitted result is a :class:`FeatureTransformer` (Ψ) whose expressions
 are composed over *original* columns, so chained iterations can build
 higher-order features while the plan stays directly servable.
@@ -55,7 +60,7 @@ from .generation import (
     mining_model,
     rank_combinations,
 )
-from .interface import AutoFeatureEngineer
+from .interface import AutoFeatureEngineer, check_valid
 from .selection import SelectionReport, select_features
 from .transform import FeatureTransformer
 
@@ -128,12 +133,237 @@ def _next_mining_paths(
     return report.carried_paths
 
 
+class MatrixSource:
+    """The in-memory row source of :func:`run_algorithm1`.
+
+    Holds the current feature matrix and the fit's one
+    :class:`~repro.operators.engine.EvalCache` over the training matrix:
+    every expression column materialized during generation or candidate
+    evaluation is computed once and reused across iterations (the
+    training matrix never changes).
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, cfg: SAFEConfig) -> None:
+        self.X_original = X
+        self.y = y
+        self.cfg = cfg
+        self.X_cur = X.copy()
+        self.cache = EvalCache(X)
+
+    def start(self, report, manager, fingerprint, legacy_fingerprints) -> None:
+        pass
+
+    def resume(self, expressions) -> None:
+        # The survivors' (deterministic) columns, rebuilt through the
+        # cache exactly as the checkpointed iteration left them.
+        self.X_cur = evaluate_forest(expressions, cache=self.cache)
+
+    def begin(self, iteration, expressions) -> None:
+        # X_cur is a private fresh allocation (an explicit .copy() on
+        # iteration 0, a survivor slice or an evaluated forest
+        # afterwards), so it is sanitized in place.
+        self.X_fit = clean_matrix(self.X_cur, copy=False)
+
+    def mine(self, mining_params):
+        return fit_mining_model(self.X_fit, self.y, **mining_params).paths()
+
+    def rank(self, combos):
+        return rank_combinations(self.X_fit, self.y, combos, gamma=self.cfg.gamma)
+
+    def generate(self, ranked, expressions, existing, quarantine):
+        return generate_features(
+            ranked,
+            self.cfg.operators,
+            expressions,
+            self.X_original,
+            existing_keys=existing,
+            cache=self.cache,
+            quarantine=quarantine,
+        )
+
+    def select(self, candidates, max_output) -> SelectionReport:
+        cfg = self.cfg
+        # evaluate_forest fills a freshly allocated block (cached
+        # columns are copied into it), so in-place sanitation is safe
+        # and saves one full-matrix copy per iteration.
+        self.X_cand = clean_matrix(
+            evaluate_forest(candidates, cache=self.cache), copy=False
+        )
+        report = select_features(
+            self.X_cand,
+            self.y,
+            alpha=cfg.iv_threshold,
+            iv_bins=cfg.iv_bins,
+            theta=cfg.pearson_threshold,
+            ranking_n_estimators=cfg.ranking_n_estimators,
+            ranking_max_depth=cfg.ranking_max_depth,
+            max_output=max_output,
+            random_state=cfg.random_state,
+        )
+        chosen = list(report.final_order)
+        if chosen:
+            self.X_cur = self.X_cand[:, chosen]
+            # Bound cache memory: keep only subtrees the survivors reuse.
+            self.cache.retain([candidates[i] for i in chosen])
+        return report
+
+    def after_checkpoint(self) -> None:
+        pass
+
+    def finish(self, report) -> None:
+        pass
+
+
+def run_algorithm1(
+    safe: "SAFE",
+    source,
+    names: "tuple[str, ...]",
+    checkpoint_dir: "str | None",
+) -> FeatureTransformer:
+    """Run Algorithm 1 over ``source``; see the module docstring.
+
+    ``safe`` supplies the config and receives the traces and runtime
+    report. ``source`` (:class:`MatrixSource` or
+    :class:`repro.core.stream.ChunkSource`) runs every stage that
+    touches rows, through these hooks:
+
+    * ``start(report, manager, fingerprint, legacy_fingerprints)`` —
+      once, before resume; ``manager`` is ``None`` without a checkpoint
+      directory;
+    * ``resume(expressions)`` — after a checkpoint restored the
+      survivors;
+    * ``begin(iteration, expressions)`` — at the top of each iteration;
+    * ``mine(mining_params)`` → paths, ``rank(combos)`` → top-γ ranked
+      combinations, ``generate(ranked, expressions, existing_keys,
+      quarantine)`` → new expressions, and ``select(candidates,
+      max_output)`` → :class:`SelectionReport`;
+    * ``after_checkpoint()`` — once the iteration's checkpoint landed,
+      before the ``pipeline.iteration`` failpoint;
+    * ``finish(report)`` — when the loop ends without raising.
+    """
+    cfg = safe.config
+    max_output = cfg.max_output_features
+    if max_output is None:
+        max_output = 2 * len(names)  # the paper's 2M budget
+
+    expressions: list[Expression] = [Var(i) for i in range(len(names))]
+    timer = Timer()
+    safe.traces_ = []
+    runtime_report = RuntimeReport()
+    safe.runtime_report_ = runtime_report
+    fingerprint = config_fingerprint(cfg, names)
+    legacy_fingerprints = (legacy_config_fingerprint(cfg, names),)
+    mining_params = {
+        "n_estimators": cfg.mining_n_estimators,
+        "max_depth": cfg.mining_max_depth,
+        "learning_rate": cfg.mining_learning_rate,
+        "random_state": cfg.random_state,
+    }
+    miner = mining_model(**mining_params)
+    # Paths of the previous ranking GBM that this iteration's mining
+    # GBM would regrow (see _next_mining_paths); None means fit it.
+    carried: "list[TreePath] | None" = None
+    start_iteration = 0
+    manager: "CheckpointManager | None" = None
+    if checkpoint_dir is not None:
+        manager = CheckpointManager(checkpoint_dir)
+    source.start(runtime_report, manager, fingerprint, legacy_fingerprints)
+    if manager is not None:
+        state, skipped = manager.latest(
+            expected_config_hash=fingerprint, also_accept=legacy_fingerprints
+        )
+        runtime_report.checkpoints_skipped.extend(skipped)
+        if state is not None:
+            # Resume: the survivors become the working feature set.
+            expressions = list(state.expressions)
+            start_iteration = state.iteration + 1
+            runtime_report.resumed_from_iteration = state.iteration
+            safe.traces_ = [_trace_from_scalars(t) for t in state.traces]
+            carried = state.carried_paths
+            source.resume(expressions)
+    for iteration in range(start_iteration, cfg.n_iterations):
+        if (
+            cfg.time_budget_seconds is not None
+            and timer.elapsed() >= cfg.time_budget_seconds
+        ):
+            break
+        iter_timer = Timer()
+        source.begin(iteration, expressions)
+
+        # -- Generation --------------------------------------------
+        mining_reused = carried is not None
+        paths = carried if mining_reused else source.mine(mining_params)
+        combos = combinations_from_paths(paths, max_size=cfg.max_combination_size)
+        ranked = source.rank(combos)
+        quarantined: "list[QuarantineRecord] | None" = (
+            [] if cfg.on_operator_error == "quarantine" else None
+        )
+        new_exprs = source.generate(
+            ranked, expressions, {e.key for e in expressions}, quarantined
+        )
+        if quarantined:
+            runtime_report.record_quarantine(iteration, quarantined)
+        if not new_exprs and iteration > 0:
+            break  # nothing new to add; feature set has stabilized
+
+        # -- Candidate pool (line 7) and selection (lines 8-10) -------
+        if cfg.keep_originals or not new_exprs:
+            candidates = list(expressions) + new_exprs
+        else:
+            candidates = new_exprs
+        report = source.select(candidates, max_output)
+        chosen = list(report.final_order)
+        if not chosen:
+            break
+        expressions = [candidates[i] for i in chosen]
+        carried = _next_mining_paths(report, miner)
+        safe.traces_.append(
+            IterationTrace(
+                iteration=iteration,
+                n_paths=len(paths),
+                n_combinations=len(combos),
+                n_generated=len(new_exprs),
+                n_candidates=len(candidates),
+                selection=report,
+                elapsed_seconds=iter_timer.elapsed(),
+                n_quarantined=len(quarantined) if quarantined else 0,
+                mining_reused=mining_reused,
+            )
+        )
+        if manager is not None:
+            manager.save(
+                iteration,
+                expressions,
+                fingerprint,
+                traces=[_trace_scalars(t) for t in safe.traces_],
+                carried_paths=carried,
+            )
+            runtime_report.checkpoints_written += 1
+            source.after_checkpoint()
+        # Chaos hook: lets tests kill the fit between iterations (after
+        # the checkpoint landed) and assert a clean resume.
+        failpoint("pipeline.iteration")
+
+    source.finish(runtime_report)
+    return FeatureTransformer(
+        expressions=tuple(expressions),
+        original_names=names,
+        metadata={
+            "method": safe.name,
+            "n_iterations_run": len(safe.traces_),
+            "operators": list(cfg.operators),
+            "schema_hash": schema_fingerprint(names),
+            "config_hash": fingerprint,
+        },
+    )
+
+
 @dataclass
 class SAFE(AutoFeatureEngineer):
     """Scalable Automatic Feature Engineering (the paper's method).
 
     >>> safe = SAFE(SAFEConfig(n_iterations=1))
-    >>> transformer = safe.fit(train, valid)
+    >>> transformer = safe.fit(train)
     >>> train_new = transformer.transform(train)
     """
 
@@ -160,6 +390,11 @@ class SAFE(AutoFeatureEngineer):
         quantile edges and the bit-identical exact mode. The streaming
         path requires ``valid=None`` and row-wise stateless operators.
 
+        ``valid`` is checked and otherwise unused: no GBM of Algorithm 1
+        early-stops, so a validation set cannot change Ψ. An in-memory
+        fit raises :class:`~repro.exceptions.DataError` when its column
+        count differs from ``train``'s.
+
         ``checkpoint_dir`` enables fault tolerance across process death:
         after every completed iteration the survivor expressions and
         trace scalars are atomically persisted there, and a *restarted*
@@ -179,185 +414,10 @@ class SAFE(AutoFeatureEngineer):
             return fit_safe_streaming(
                 self, train, valid=valid, checkpoint_dir=checkpoint_dir
             )
-        cfg = self.config
         y = train.require_labels()
         if np.unique(y).size < 2:
             raise DataError("SAFE.fit requires both classes in the training labels")
-        X_original = train.X
-        y_valid = valid.y if valid is not None else None
-
-        max_output = cfg.max_output_features
-        if max_output is None:
-            max_output = 2 * train.n_cols  # the paper's 2M budget
-
-        expressions: list[Expression] = [Var(i) for i in range(train.n_cols)]
-        X_cur = X_original.copy()
-        X_valid_cur = valid.X.copy() if valid is not None else None
-
-        # CSE caches: every expression column materialized during
-        # generation or candidate evaluation is computed once per matrix
-        # and reused across iterations (the matrices never change).
-        train_cache = EvalCache(X_original)
-        valid_cache = EvalCache(valid.X) if valid is not None else None
-
-        timer = Timer()
-        self.traces_ = []
-        runtime_report = RuntimeReport()
-        self.runtime_report_ = runtime_report
-        fingerprint = config_fingerprint(cfg, train.names)
-        legacy_fingerprints = (legacy_config_fingerprint(cfg, train.names),)
-        mining_params = {
-            "n_estimators": cfg.mining_n_estimators,
-            "max_depth": cfg.mining_max_depth,
-            "learning_rate": cfg.mining_learning_rate,
-            "random_state": cfg.random_state,
-        }
-        miner = mining_model(**mining_params)
-        # Paths of the previous ranking GBM that this iteration's mining
-        # GBM would regrow (see _next_mining_paths); None means fit it.
-        carried: "list[TreePath] | None" = None
-        start_iteration = 0
-        manager: "CheckpointManager | None" = None
-        if checkpoint_dir is not None:
-            manager = CheckpointManager(checkpoint_dir)
-            state, skipped = manager.latest(
-                expected_config_hash=fingerprint, also_accept=legacy_fingerprints
-            )
-            runtime_report.checkpoints_skipped.extend(skipped)
-            if state is not None:
-                # Resume: the survivors become the working feature set and
-                # their (deterministic) columns are rebuilt through the
-                # caches, exactly as iteration `state.iteration` left them.
-                expressions = list(state.expressions)
-                start_iteration = state.iteration + 1
-                runtime_report.resumed_from_iteration = state.iteration
-                self.traces_ = [_trace_from_scalars(t) for t in state.traces]
-                carried = state.carried_paths
-                X_cur = evaluate_forest(expressions, cache=train_cache)
-                if valid_cache is not None:
-                    X_valid_cur = evaluate_forest(expressions, cache=valid_cache)
-        for iteration in range(start_iteration, cfg.n_iterations):
-            if (
-                cfg.time_budget_seconds is not None
-                and timer.elapsed() >= cfg.time_budget_seconds
-            ):
-                break
-            iter_timer = Timer()
-            # X_cur / X_valid_cur are private fresh allocations (an
-            # explicit .copy() on iteration 0, fancy-indexed survivor
-            # slices afterwards), so they too are sanitized in place.
-            X_fit = clean_matrix(X_cur, copy=False)
-            eval_set = None
-            if X_valid_cur is not None and y_valid is not None:
-                eval_set = (clean_matrix(X_valid_cur, copy=False), y_valid)
-
-            # -- Generation --------------------------------------------
-            mining_reused = carried is not None
-            if mining_reused:
-                paths = carried
-            else:
-                paths = fit_mining_model(X_fit, y, eval_set, **mining_params).paths()
-            combos = combinations_from_paths(
-                paths, max_size=cfg.max_combination_size
-            )
-            ranked = rank_combinations(X_fit, y, combos, gamma=cfg.gamma)
-            existing = {e.key for e in expressions}
-            quarantined: "list[QuarantineRecord] | None" = (
-                [] if cfg.on_operator_error == "quarantine" else None
-            )
-            new_exprs = generate_features(
-                ranked,
-                cfg.operators,
-                expressions,
-                X_original,
-                existing_keys=existing,
-                cache=train_cache,
-                quarantine=quarantined,
-            )
-            if quarantined:
-                runtime_report.record_quarantine(iteration, quarantined)
-            if not new_exprs and iteration > 0:
-                break  # nothing new to add; feature set has stabilized
-
-            # -- Candidate pool (line 7) --------------------------------
-            if cfg.keep_originals or not new_exprs:
-                candidates = list(expressions) + new_exprs
-            else:
-                candidates = new_exprs
-            # evaluate_forest fills a freshly allocated block (cached
-            # columns are copied into it), so in-place sanitation is safe
-            # and saves one full-matrix copy per iteration per matrix.
-            X_cand = clean_matrix(
-                evaluate_forest(candidates, cache=train_cache), copy=False
-            )
-            eval_cand = None
-            if valid_cache is not None and y_valid is not None:
-                eval_cand = (
-                    clean_matrix(
-                        evaluate_forest(candidates, cache=valid_cache), copy=False
-                    ),
-                    y_valid,
-                )
-
-            # -- Selection (lines 8-10) ---------------------------------
-            report = select_features(
-                X_cand,
-                y,
-                eval_cand,
-                alpha=cfg.iv_threshold,
-                iv_bins=cfg.iv_bins,
-                theta=cfg.pearson_threshold,
-                ranking_n_estimators=cfg.ranking_n_estimators,
-                ranking_max_depth=cfg.ranking_max_depth,
-                max_output=max_output,
-                random_state=cfg.random_state,
-            )
-            chosen = list(report.final_order)
-            if not chosen:
-                break
-            expressions = [candidates[i] for i in chosen]
-            X_cur = X_cand[:, chosen]
-            if eval_cand is not None:
-                X_valid_cur = eval_cand[0][:, chosen]
-            # Bound cache memory: keep only subtrees the survivors reuse.
-            train_cache.retain(expressions)
-            if valid_cache is not None:
-                valid_cache.retain(expressions)
-            carried = _next_mining_paths(report, miner)
-            self.traces_.append(
-                IterationTrace(
-                    iteration=iteration,
-                    n_paths=len(paths),
-                    n_combinations=len(combos),
-                    n_generated=len(new_exprs),
-                    n_candidates=len(candidates),
-                    selection=report,
-                    elapsed_seconds=iter_timer.elapsed(),
-                    n_quarantined=len(quarantined) if quarantined else 0,
-                    mining_reused=mining_reused,
-                )
-            )
-            if manager is not None:
-                manager.save(
-                    iteration,
-                    expressions,
-                    fingerprint,
-                    traces=[_trace_scalars(t) for t in self.traces_],
-                    carried_paths=carried,
-                )
-                runtime_report.checkpoints_written += 1
-            # Chaos hook: lets tests kill the fit between iterations (after
-            # the checkpoint landed) and assert a clean resume.
-            failpoint("pipeline.iteration")
-
-        return FeatureTransformer(
-            expressions=tuple(expressions),
-            original_names=train.names,
-            metadata={
-                "method": self.name,
-                "n_iterations_run": len(self.traces_),
-                "operators": list(cfg.operators),
-                "schema_hash": schema_fingerprint(train.names),
-                "config_hash": fingerprint,
-            },
+        check_valid(train, valid)
+        return run_algorithm1(
+            self, MatrixSource(train.X, y, self.config), train.names, checkpoint_dir
         )

@@ -127,7 +127,6 @@ def remove_redundant_features(
 def rank_by_importance(
     X: np.ndarray,
     y: np.ndarray,
-    eval_set: "tuple[np.ndarray, np.ndarray] | None",
     n_estimators: int,
     max_depth: int,
     top_k: "int | None",
@@ -145,7 +144,7 @@ def rank_by_importance(
         random_state=random_state,
         tie_rtol=GAIN_TIE_RTOL,
     )
-    model.fit(X, y, eval_set=eval_set)
+    model.fit(X, y)
     importance = model.feature_importances_
     order = np.lexsort((np.arange(importance.size), -importance))
     if top_k is not None:
@@ -156,7 +155,6 @@ def rank_by_importance(
 def select_features(
     X: np.ndarray,
     y: np.ndarray,
-    eval_set: "tuple[np.ndarray, np.ndarray] | None",
     alpha: float,
     iv_bins: int,
     theta: float,
@@ -176,14 +174,9 @@ def select_features(
     kept_red = remove_redundant_features_blocked(
         X, ivs[kept_iv], theta, columns=kept_iv
     )
-    sub2 = X[:, kept_red]
-    eval_sub = None
-    if eval_set is not None:
-        eval_sub = (eval_set[0][:, kept_red], eval_set[1])
     order_local, ranking = rank_by_importance(
-        sub2,
+        X[:, kept_red],
         y,
-        eval_sub,
         n_estimators=ranking_n_estimators,
         max_depth=ranking_max_depth,
         top_k=max_output,

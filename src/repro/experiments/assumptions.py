@@ -82,11 +82,10 @@ def run(
     mean_ivs: dict[str, dict[str, float]] = {}
     holds: dict[str, dict[str, bool]] = {}
     for ds in datasets:
-        train, valid, __ = load_benchmark(ds, scale=scale, seed=seed)
+        train, _, __ = load_benchmark(ds, scale=scale, seed=seed)
         rng = check_random_state(seed)
-        eval_set = (clean_matrix(valid.X), valid.y) if valid is not None else None
         model = fit_mining_model(
-            clean_matrix(train.X), train.require_labels(), eval_set,
+            clean_matrix(train.X), train.require_labels(),
             n_estimators=20, max_depth=4, learning_rate=0.3, random_state=seed,
         )
         split = sorted(model.split_features())

@@ -46,10 +46,9 @@ def run(
 ) -> SearchSpaceResult:
     rows: dict[str, dict[str, float]] = {}
     for ds in datasets:
-        train, valid, __ = load_benchmark(ds, scale=scale, seed=seed)
-        eval_set = (clean_matrix(valid.X), valid.y) if valid is not None else None
+        train, _, __ = load_benchmark(ds, scale=scale, seed=seed)
         model = fit_mining_model(
-            clean_matrix(train.X), train.require_labels(), eval_set,
+            clean_matrix(train.X), train.require_labels(),
             n_estimators=20, max_depth=4, learning_rate=0.3, random_state=seed,
         )
         paths = model.paths()

@@ -4,8 +4,8 @@ The scalar path (:meth:`Expression.evaluate`) re-walks every tree from the
 leaves for each evaluation — each :class:`Var` re-casts the whole input
 matrix and each shared subtree is recomputed once per parent. That is fine
 as an audited reference but quadratic-ish in practice: the pipeline
-evaluates the same trees while fitting operators (``fit_applied``), again
-to build the candidate pool, and again on the validation set.
+evaluates the same trees while fitting operators (``fit_applied``) and
+again to build the candidate pool.
 
 :class:`EvalCache` memoizes subtree *columns* for **one** input matrix:
 
@@ -36,8 +36,8 @@ matrix, so equal keys imply equal state.
 
 A cache is bound to the matrix passed at construction and must never be
 used with another matrix — there is no content invalidation. Create one
-cache per matrix (the pipeline keeps one for the training matrix and one
-for the validation matrix, both alive across iterations) and call
+cache per matrix (the in-memory fit keeps one, for the training matrix,
+alive across iterations) and call
 :meth:`EvalCache.retain` to prune entries no longer reachable from the
 surviving expressions when memory matters.
 

@@ -9,7 +9,7 @@ the paper's industrial setting demands the run completes, but completing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass(frozen=True)
@@ -68,31 +68,12 @@ class RuntimeReport:
         return len(self.quarantined)
 
     def summary(self) -> dict:
-        """JSON-able digest (stable keys, no objects)."""
+        """JSON-able digest (stable keys, no objects): the fields in
+        order, each quarantine pair flattened to one record dict."""
         return {
+            **asdict(self),
             "quarantined": [
-                {
-                    "iteration": iteration,
-                    "key": record.key,
-                    "operator": record.operator,
-                    "reason": record.reason,
-                }
+                {"iteration": iteration, **asdict(record)}
                 for iteration, record in self.quarantined
             ],
-            "chunks_quarantined": [
-                {
-                    "chunk_index": record.chunk_index,
-                    "row_start": record.row_start,
-                    "row_stop": record.row_stop,
-                    "path": record.path,
-                    "reason": record.reason,
-                }
-                for record in self.chunks_quarantined
-            ],
-            "resumed_from_iteration": self.resumed_from_iteration,
-            "checkpoints_written": self.checkpoints_written,
-            "checkpoints_skipped": list(self.checkpoints_skipped),
-            "stats_checkpoints_written": self.stats_checkpoints_written,
-            "stats_stages_resumed": list(self.stats_stages_resumed),
-            "stats_checkpoints_skipped": list(self.stats_checkpoints_skipped),
         }

@@ -12,7 +12,7 @@ departures to; operators poll :meth:`summary` next to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 @dataclass
@@ -72,20 +72,5 @@ class ServingReport:
         )
 
     def summary(self) -> dict:
-        """JSON-able digest (stable keys, no objects)."""
-        return {
-            "requests_total": self.requests_total,
-            "admitted_exact": self.admitted_exact,
-            "admitted_coerced": self.admitted_coerced,
-            "rejected": self.rejected,
-            "shed": self.shed,
-            "deadline_hits": self.deadline_hits,
-            "breaker_trips": self.breaker_trips,
-            "breaker_short_circuits": self.breaker_short_circuits,
-            "nulled_columns": self.nulled_columns,
-            "swaps_completed": self.swaps_completed,
-            "swaps_rolled_back": self.swaps_rolled_back,
-            "coercions": dict(self.coercions),
-            "tripped_expressions": list(self.tripped_expressions),
-            "swap_failures": list(self.swap_failures),
-        }
+        """JSON-able digest (stable keys, no objects): the fields in order."""
+        return asdict(self)

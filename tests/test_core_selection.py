@@ -235,7 +235,7 @@ class TestImportanceRanking:
         X = rng.normal(size=(2000, 4))
         y = (X[:, 2] > 0).astype(float)
         order, _ = rank_by_importance(
-            X, y, None, n_estimators=10, max_depth=3, top_k=None, random_state=0
+            X, y, n_estimators=10, max_depth=3, top_k=None, random_state=0
         )
         assert order[0] == 2
 
@@ -243,7 +243,7 @@ class TestImportanceRanking:
         X = rng.normal(size=(500, 6))
         y = (X[:, 0] > 0).astype(float)
         order, _ = rank_by_importance(
-            X, y, None, n_estimators=5, max_depth=3, top_k=2, random_state=0
+            X, y, n_estimators=5, max_depth=3, top_k=2, random_state=0
         )
         assert order.size == 2
 
@@ -260,7 +260,7 @@ class TestFullSelection:
         ])
         y = (signal + 0.3 * rng.normal(size=n) > 0).astype(float)
         report = select_features(
-            X, y, None,
+            X, y,
             alpha=0.1, iv_bins=10, theta=0.8,
             ranking_n_estimators=10, ranking_max_depth=3,
             max_output=4, random_state=0,
@@ -277,7 +277,7 @@ class TestFullSelection:
         X = rng.normal(size=(1000, 10))
         y = (X[:, :5].sum(axis=1) > 0).astype(float)
         report = select_features(
-            X, y, None,
+            X, y,
             alpha=0.0, iv_bins=10, theta=0.99,
             ranking_n_estimators=5, ranking_max_depth=3,
             max_output=3, random_state=0,
