@@ -2,10 +2,11 @@
 
 The durability contract (CONTRIBUTING.md) says every durable artifact —
 plans, checkpoints, manifests, reports, ``.npy`` exports — is published
-atomically: write a hidden temp file, flush, then ``os.replace`` it into
-place, so a crash mid-write leaves either the previous artifact or
-nothing, never a torn file that parses. :func:`repro.utils.atomic_path`
-and :func:`repro.utils.atomic_write` package the idiom.
+atomically: write a hidden temp file, flush, then rename it into place
+(``replace`` of the ``os`` module), so a crash mid-write leaves either
+the previous artifact or nothing, never a torn file that parses.
+:func:`repro.utils.atomic_path` and :func:`repro.utils.atomic_write`
+package the idiom.
 
 * ``non-atomic-artifact-write`` — flags writes that produce a durable
   file directly at its final path:
@@ -15,10 +16,12 @@ and :func:`repro.utils.atomic_write` package the idiom.
   - ``Path.write_text`` / ``Path.write_bytes`` calls.
 
   A write is exempt when its enclosing function (or the module top
-  level, for module-scope writes) also calls ``os.replace`` or any
-  callable whose name contains ``atomic`` — the temp-then-rename
-  publication is then assumed to be what the write feeds. Scratch
-  memmaps (``open_memmap``) are not artifacts and are not flagged.
+  level, for module-scope writes) also calls ``replace`` on the ``os``
+  module or a helper whose name starts with ``atomic`` — the
+  temp-then-rename publication is then assumed to be what the write
+  feeds. Any other ``replace`` (``str.replace``, say) exempts nothing.
+  Scratch memmaps (``open_memmap``) are not artifacts and are not
+  flagged.
   Intentional non-atomic writes (append-only logs, best-effort debug
   dumps) must carry a ``# repro: ignore[non-atomic-artifact-write]``
   audit comment.
@@ -38,13 +41,14 @@ _NP_WRITERS = frozenset({"save", "savez", "savez_compressed"})
 _PATH_WRITERS = frozenset({"write_text", "write_bytes"})
 
 
-def _call_name(func: ast.expr) -> "str | None":
-    """The called name: ``os.replace`` -> ``replace``, ``open`` -> ``open``."""
+def _publishes(func: ast.expr) -> bool:
+    """Whether a call renames a temp file into place: ``replace`` of the
+    ``os`` module, or an ``atomic*`` helper (``atomic_write``, ...)."""
     if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
+        if isinstance(func.value, ast.Name) and func.value.id == "os":
+            return func.attr == "replace"
+        return func.attr.startswith("atomic")
+    return isinstance(func, ast.Name) and func.id.startswith("atomic")
 
 
 def _literal_write_mode(call: ast.Call) -> bool:
@@ -110,12 +114,8 @@ class ArtifactWriteRule(LintRule):
             atomic = False
             writes: "list[tuple[int, str]]" = []
             for node in nodes:
-                if isinstance(node, ast.Call):
-                    name = _call_name(node.func)
-                    if name is not None and (
-                        "atomic" in name or name == "replace"
-                    ):
-                        atomic = True
+                if isinstance(node, ast.Call) and _publishes(node.func):
+                    atomic = True
                 label = _artifact_write(node)
                 if label is not None:
                     writes.append((node.lineno, label))
@@ -128,7 +128,7 @@ class ArtifactWriteRule(LintRule):
                     rule=self.rule_id,
                     message=(
                         f"{label} publishes a durable artifact without "
-                        "atomic temp-file + os.replace publication — a "
+                        "atomic temp-file + rename publication — a "
                         "crash mid-write leaves a torn file; use "
                         "repro.utils.atomic_write/atomic_path or suppress "
                         "with an audit comment"

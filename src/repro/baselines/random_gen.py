@@ -21,7 +21,7 @@ from ..tabular.dataset import Dataset
 from ..tabular.preprocess import clean_matrix
 from ..utils import check_random_state
 from .common import pairs_to_combinations, run_generation_and_selection, sample_combinations
-from ..core.interface import AutoFeatureEngineer, check_valid
+from ..core.interface import AutoFeatureEngineer
 
 
 @dataclass
@@ -37,7 +37,6 @@ class RandomGenerator(AutoFeatureEngineer):
     def fit(
         self, train: Dataset, valid: "Dataset | None" = None
     ) -> FeatureTransformer:
-        check_valid(train, valid)
         cfg = self.config
         rng = check_random_state(cfg.random_state)
         pool = self._feature_pool(train, valid)

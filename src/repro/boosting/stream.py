@@ -131,8 +131,6 @@ def fit_gbm_streaming(
     *,
     edges: "list[np.ndarray] | None" = None,
     sketch: str = "merge",
-    sketch_capacity: int = DEFAULT_SKETCH_CAPACITY,
-    scratch_dir: "str | None" = None,
     stats=None,
 ) -> GradientBoostingClassifier:
     """Fit ``model`` from a restartable chunk stream, out of core.
@@ -146,9 +144,10 @@ def fit_gbm_streaming(
     come from the selection stage's ``sel-edges`` sketches; every later
     pass runs over the uint8 code memmap instead.
 
-    ``scratch_dir`` hosts the memory-mapped scratch arrays (a private
-    temporary directory, removed afterwards, when ``None``). Scratch disk
-    is ~``n_rows * (n_cols + 73)`` bytes (uint8 codes; labels, margin,
+    The memory-mapped scratch arrays live in the ``stats`` store's
+    scratch directory, or in a private temporary directory, removed
+    afterwards, when ``stats`` is ``None``. Scratch disk is
+    ~``n_rows * (n_cols + 73)`` bytes (uint8 codes; labels, margin,
     gradient, hessian and the grower's five per-row buffers); resident
     memory stays O(piece + histogram state) regardless of ``n_rows``.
 
@@ -172,7 +171,7 @@ def fit_gbm_streaming(
                 n_cols,
                 model.max_bins,
                 sketch=sketch,
-                capacity=sketch_capacity,
+                capacity=DEFAULT_SKETCH_CAPACITY,
             )
 
         if stats is None:
@@ -186,15 +185,12 @@ def fit_gbm_streaming(
             f"streaming fit needs <= 256 codes per column, got stride {stride}"
         )
 
-    if scratch_dir is not None:
-        scratch = scratch_dir
-        own_scratch = False
-    elif stats is not None:
-        scratch = stats.scratch_dir("scratch")
-        own_scratch = False  # lives until the store is cleared
-    else:
-        scratch = tempfile.mkdtemp(prefix="repro-gbm-stream-")
-        own_scratch = True
+    own_scratch = stats is None  # a store's scratch lives until it is cleared
+    scratch = (
+        tempfile.mkdtemp(prefix="repro-gbm-stream-")
+        if own_scratch
+        else stats.scratch_dir("scratch")
+    )
     try:
         open_memmap = np.lib.format.open_memmap
         codes_path = f"{scratch}/codes.npy"

@@ -8,6 +8,7 @@ uniformly.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 
 from ..exceptions import DataError
@@ -16,8 +17,10 @@ from .transform import FeatureTransformer
 
 
 def check_valid(train: Dataset, valid: "Dataset | None") -> None:
-    """Raise :class:`DataError` when ``valid``'s width differs from ``train``'s."""
-    if valid is not None and valid.n_cols != train.n_cols:
+    """Raise :class:`DataError` when ``valid``'s width differs from an
+    in-memory ``train``'s (a streamed fit rejects any ``valid`` itself)."""
+    in_memory = isinstance(train, Dataset)
+    if valid is not None and in_memory and valid.n_cols != train.n_cols:
         raise DataError(
             f"validation set has {valid.n_cols} columns, "
             f"training set has {train.n_cols}"
@@ -25,10 +28,26 @@ def check_valid(train: Dataset, valid: "Dataset | None") -> None:
 
 
 class AutoFeatureEngineer(ABC):
-    """Base class for automatic feature engineering methods."""
+    """Base class for automatic feature engineering methods.
+
+    Every subclass's ``fit`` runs :func:`check_valid` before its body.
+    """
 
     #: Short display name used in experiment tables ("SAFE", "FCT", ...).
     name: str = ""
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fit = cls.__dict__.get("fit")
+        if fit is None:
+            return
+
+        @functools.wraps(fit)
+        def checked_fit(self, train, valid=None, *args, **kwargs):
+            check_valid(train, valid)
+            return fit(self, train, valid, *args, **kwargs)
+
+        cls.fit = checked_fit
 
     @abstractmethod
     def fit(
@@ -37,10 +56,9 @@ class AutoFeatureEngineer(ABC):
         """Learn a feature-generation function Ψ from labeled data.
 
         ``valid`` is checked and otherwise unused: no method here tunes
-        on a validation set. SAFE, RAND and IMP raise
-        :class:`~repro.exceptions.DataError` through
-        :func:`check_valid` when its column count differs from
-        ``train``'s; the other baselines ignore it. The harness and
+        on a validation set. Every method raises
+        :class:`~repro.exceptions.DataError` through :func:`check_valid`
+        when its column count differs from ``train``'s. The harness and
         ``repro fit --valid`` pass it so every method sees the same call.
 
         Implementations may additionally accept a

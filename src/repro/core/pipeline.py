@@ -60,7 +60,7 @@ from .generation import (
     mining_model,
     rank_combinations,
 )
-from .interface import AutoFeatureEngineer, check_valid
+from .interface import AutoFeatureEngineer
 from .selection import SelectionReport, select_features
 from .transform import FeatureTransformer
 
@@ -240,6 +240,9 @@ def run_algorithm1(
     * ``after_checkpoint()`` — once the iteration's checkpoint landed,
       before the ``pipeline.iteration`` failpoint;
     * ``finish(report)`` — when the loop ends without raising.
+
+    A resume from a checkpoint that records a stop calls neither
+    ``resume`` nor any stage.
     """
     cfg = safe.config
     max_output = cfg.max_output_features
@@ -264,6 +267,9 @@ def run_algorithm1(
     # GBM would regrow (see _next_mining_paths); None means fit it.
     carried: "list[TreePath] | None" = None
     start_iteration = 0
+    # Why the loop stopped before n_iterations (a time-budget stop is no
+    # stop: a rerun may go on).
+    stopped: "str | None" = None
     manager: "CheckpointManager | None" = None
     if checkpoint_dir is not None:
         manager = CheckpointManager(checkpoint_dir)
@@ -276,11 +282,14 @@ def run_algorithm1(
         if state is not None:
             # Resume: the survivors become the working feature set.
             expressions = list(state.expressions)
-            start_iteration = state.iteration + 1
             runtime_report.resumed_from_iteration = state.iteration
             safe.traces_ = [_trace_from_scalars(t) for t in state.traces]
-            carried = state.carried_paths
-            source.resume(expressions)
+            if state.stopped is None:
+                start_iteration = state.iteration + 1
+                carried = state.carried_paths
+                source.resume(expressions)
+            else:  # the fit stopped there: its plan is final
+                start_iteration = cfg.n_iterations
     for iteration in range(start_iteration, cfg.n_iterations):
         if (
             cfg.time_budget_seconds is not None
@@ -304,7 +313,8 @@ def run_algorithm1(
         if quarantined:
             runtime_report.record_quarantine(iteration, quarantined)
         if not new_exprs and iteration > 0:
-            break  # nothing new to add; feature set has stabilized
+            stopped = "nothing new to generate"  # feature set has stabilized
+            break
 
         # -- Candidate pool (line 7) and selection (lines 8-10) -------
         if cfg.keep_originals or not new_exprs:
@@ -314,6 +324,7 @@ def run_algorithm1(
         report = source.select(candidates, max_output)
         chosen = list(report.final_order)
         if not chosen:
+            stopped = "selection kept no feature"
             break
         expressions = [candidates[i] for i in chosen]
         carried = _next_mining_paths(report, miner)
@@ -344,6 +355,16 @@ def run_algorithm1(
         # the checkpoint landed) and assert a clean resume.
         failpoint("pipeline.iteration")
 
+    if stopped is not None and manager is not None:
+        # The state after the stopped iteration is the plan; recording
+        # the stop lets a rerun return it without repeating the iteration.
+        manager.save(
+            iteration,
+            expressions,
+            fingerprint,
+            traces=[_trace_scalars(t) for t in safe.traces_],
+            stopped=stopped,
+        )
     source.finish(runtime_report)
     return FeatureTransformer(
         expressions=tuple(expressions),
@@ -406,7 +427,11 @@ class SAFE(AutoFeatureEngineer):
         (recorded on :attr:`runtime_report_`), never trusted. A
         checkpoint also holds the paths the next iteration's mining GBM
         would grow, when they are known, so a resumed fit skips the same
-        mining fit an uninterrupted one does.
+        mining fit an uninterrupted one does. A fit that stops before
+        ``n_iterations`` (nothing new to generate, or selection kept
+        nothing) records the stop, and a rerun returns its plan without
+        running a stage; a time-budget stop is not recorded, so a rerun
+        goes on.
         """
         if isinstance(train, ChunkedDataset):
             from .stream import fit_safe_streaming
@@ -417,7 +442,6 @@ class SAFE(AutoFeatureEngineer):
         y = train.require_labels()
         if np.unique(y).size < 2:
             raise DataError("SAFE.fit requires both classes in the training labels")
-        check_valid(train, valid)
         return run_algorithm1(
             self, MatrixSource(train.X, y, self.config), train.names, checkpoint_dir
         )

@@ -51,15 +51,6 @@ class PlanSwapError(ReproError, RuntimeError):
     fingerprints, or the candidate plan failed its self-test)."""
 
 
-class DeadlineExceeded(ReproError, RuntimeError):
-    """A serving request ran past its deadline budget.
-
-    The serving loop itself never raises this at callers — it degrades
-    the response and records the hit — but internal steps use it to
-    unwind, and strict wrappers may surface it.
-    """
-
-
 class CheckpointError(ReproError, RuntimeError):
     """A fit checkpoint is missing, corrupt, or from another config."""
 

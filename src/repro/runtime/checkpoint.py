@@ -8,21 +8,23 @@ optional ``carried_paths`` key, the tree paths the next iteration's
 mining GBM would grow (:meth:`repro.boosting.tree.TreePath.to_dict`,
 floats ``float.hex()``-encoded, so ``+inf`` thresholds round-trip
 bit-exactly). A checkpoint without the key resumes by fitting that
-mining GBM, with the same Ψ. A restarted fit
-with the same ``checkpoint_dir`` resumes from the newest checkpoint that
+mining GBM, with the same Ψ. A fit that stops early saves one more
+checkpoint, whose optional ``stopped`` key holds the reason; a resume
+that finds it returns the plan at once. A restarted fit with the same
+``checkpoint_dir`` resumes from the newest checkpoint that
 
-* parses as JSON,
-* carries a matching payload checksum (truncated/corrupt files are
-  *skipped with a warning*, never trusted),
+* reads back through :func:`repro.utils.read_record` (JSON, an object
+  payload, a matching checksum and format tag; truncated, corrupt or
+  malformed files are *skipped with a warning*, never trusted),
 * and matches the running fit's config fingerprint (a checkpoint from a
   different config or dataset schema must not seed this fit).
 
-Writes are crash-safe: the record goes to a hidden temp file first
-(``fsync``'d) and is atomically renamed into place, so a process killed
-mid-write leaves the previous checkpoint intact. The
-``checkpoint.write`` failpoint sits between the two halves of the temp
-write and the ``checkpoint.read`` failpoint at the top of ``load``, so
-chaos tests can cut a write short or poison reads deterministically.
+Writes go through :func:`repro.utils.atomic_write` (a hidden, ``fsync``'d
+temp file renamed into place), so a process killed mid-write leaves the
+previous checkpoint intact. The ``checkpoint.write`` failpoint sits
+between the two halves of the temp write and the ``checkpoint.read``
+failpoint at the top of ``load``, so chaos tests can cut a write short
+or poison reads deterministically.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import re
 import shutil
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ import numpy as np
 
 from ..exceptions import CheckpointError, InjectedFault
 from ..operators.expressions import Expression, expression_from_dict
-from ..utils import atomic_path
+from ..utils import atomic_write, read_record, record_text
 from .failpoints import failpoint
 
 #: Format tag embedded in (and required of) every checkpoint record.
@@ -111,6 +112,8 @@ class CheckpointState:
     #: Paths (``TreePath``) the next iteration's mining GBM would grow;
     #: ``None`` when the checkpoint holds none.
     carried_paths: "list | None" = None
+    #: Why the fit stopped before its last iteration (``None``: not stopped).
+    stopped: "str | None" = None
 
 
 class CheckpointManager:
@@ -135,11 +138,12 @@ class CheckpointManager:
         config_hash: str,
         traces: Sequence[dict] = (),
         carried_paths: "Sequence | None" = None,
+        stopped: "str | None" = None,
     ) -> Path:
         """Atomically persist the state after ``iteration`` (0-based).
 
-        ``carried_paths`` (``TreePath`` objects) goes under an optional
-        payload key, covered by the checksum like the rest.
+        ``carried_paths`` (``TreePath`` objects) and ``stopped`` (a stop
+        reason) go under optional payload keys, covered by the checksum.
         """
         payload = {
             "format": CHECKPOINT_FORMAT,
@@ -150,27 +154,17 @@ class CheckpointManager:
         }
         if carried_paths is not None:
             payload["carried_paths"] = [p.to_dict() for p in carried_paths]
-        record = {
-            "checksum": _sha256(json.dumps(payload, sort_keys=True)),
-            "payload": payload,
-        }
-        text = json.dumps(record, indent=2)
+        if stopped is not None:
+            payload["stopped"] = stopped
+        text = record_text(payload)
         path = self.path_for(iteration)
-        tmp = path.with_name(f".{path.name}.tmp")
         half = len(text) // 2
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text[:half])
-                # A fault here models a crash mid-write: only the hidden
-                # .tmp is partial; the previous checkpoint survives.
-                failpoint("checkpoint.write")
-                fh.write(text[half:])
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            if tmp.exists():
-                tmp.unlink()
+        with atomic_write(path, encoding="utf-8") as fh:
+            fh.write(text[:half])
+            # A fault here models a crash mid-write: only the hidden
+            # .tmp is partial; the previous checkpoint survives.
+            failpoint("checkpoint.write")
+            fh.write(text[half:])
         return path
 
     # ------------------------------------------------------------------
@@ -188,29 +182,7 @@ class CheckpointManager:
         """
         failpoint("checkpoint.read")
         path = Path(path)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(
-                f"checkpoint {path} is not valid JSON (truncated write?): {exc}"
-            ) from exc
-        if not isinstance(record, dict) or "payload" not in record:
-            raise CheckpointError(f"checkpoint {path} has no payload")
-        payload = record["payload"]
-        body = json.dumps(payload, sort_keys=True)
-        if record.get("checksum") != _sha256(body):
-            raise CheckpointError(
-                f"checkpoint {path} failed its checksum (corrupt or tampered)"
-            )
-        if payload.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError(
-                f"checkpoint {path} has format {payload.get('format')!r}, "
-                f"expected {CHECKPOINT_FORMAT!r}"
-            )
+        payload = read_record(path, "checkpoint", CHECKPOINT_FORMAT, CheckpointError)
         config_hash = payload.get("config_hash", "")
         if expected_config_hash is not None and config_hash not in (
             expected_config_hash,
@@ -221,12 +193,15 @@ class CheckpointManager:
                 "(fingerprint mismatch)"
             )
         try:
+            iteration = int(payload["iteration"])
+            traces = tuple(dict(t) for t in payload.get("traces", ()))
             expressions = tuple(
                 expression_from_dict(e) for e in payload["expressions"]
             )
         except Exception as exc:
             raise CheckpointError(
-                f"checkpoint {path} holds undecodable expressions: {exc!r}"
+                f"checkpoint {path} holds undecodable expressions, iteration "
+                f"or traces: {exc!r}"
             ) from exc
         if not expressions:
             raise CheckpointError(f"checkpoint {path} holds no expressions")
@@ -244,12 +219,13 @@ class CheckpointManager:
                     f"checkpoint {path} holds undecodable carried paths: {exc!r}"
                 ) from exc
         return CheckpointState(
-            iteration=int(payload["iteration"]),
+            iteration=iteration,
             expressions=expressions,
             config_hash=config_hash,
-            traces=tuple(payload.get("traces", ())),
+            traces=traces,
             path=str(path),
             carried_paths=carried_paths,
+            stopped=payload.get("stopped"),
         )
 
     def latest(
@@ -387,8 +363,8 @@ class StatsCheckpointStore:
     The same guarantees as plan checkpoints, in ``.npz`` instead of
     JSON: a format tag, the fit's config+schema fingerprint (a snapshot
     from a different config or dataset never seeds this fit), a SHA-256
-    checksum over the spec and every array payload, and atomic
-    temp-file + ``os.replace`` publication. Invalid snapshots are
+    checksum over the spec and every array payload, and publication
+    through :func:`repro.utils.atomic_write`. Invalid snapshots are
     *skipped with a recorded reason*, never trusted — the stage just
     recomputes. State round-trips bit-exactly (floats are hex-encoded;
     arrays keep dtype and shape), which is what lets a resumed fit
@@ -430,23 +406,16 @@ class StatsCheckpointStore:
         meta_text = json.dumps(meta, sort_keys=True)
         checksum = _stats_checksum(meta_text, arrays)
         path = self.path_for(stage)
-        with atomic_path(path, suffix=".npz") as tmp:
-            with open(tmp, "wb") as fh:
-                np.savez(
-                    fh,
-                    __meta__=np.frombuffer(
-                        meta_text.encode("utf-8"), dtype=np.uint8
-                    ),
-                    __checksum__=np.frombuffer(
-                        checksum.encode("ascii"), dtype=np.uint8
-                    ),
-                    **arrays,
-                )
-                fh.flush()
-                os.fsync(fh.fileno())
+        with atomic_write(path, "wb") as fh:
+            np.savez(
+                fh,
+                __meta__=np.frombuffer(meta_text.encode("utf-8"), dtype=np.uint8),
+                __checksum__=np.frombuffer(checksum.encode("ascii"), dtype=np.uint8),
+                **arrays,
+            )
             # A fault here models a crash mid-checkpoint: the snapshot
-            # was fully written to the hidden temp file but never
-            # renamed into place, so readers see no torn state.
+            # was written to the hidden temp file but never renamed
+            # into place, so readers see no torn state.
             failpoint("stream.stats.checkpoint")
         self.written += 1
         return path
@@ -455,56 +424,55 @@ class StatsCheckpointStore:
     def load(self, stage: str):
         """Validated state for ``stage``, or :data:`MISSING`.
 
-        Every failure mode — absent file, unreadable zip, checksum or
-        fingerprint mismatch, undecodable spec — returns :data:`MISSING`
-        with the reason recorded on ``self.skipped`` (absence excepted):
-        a bad snapshot costs one recompute, never a wrong resume.
+        Every failure mode — absent file, unreadable zip, bad metadata,
+        checksum or fingerprint mismatch, undecodable spec — returns
+        :data:`MISSING` with the reason recorded on ``self.skipped``
+        (absence excepted): a bad snapshot costs one recompute, never a
+        wrong resume.
         """
         path = self.path_for(stage)
         if not path.exists():
             return MISSING
         try:
+            state = self._read(path, stage)
+        except CheckpointError as exc:
+            self.skipped.append(str(exc))
+            return MISSING
+        self.resumed.append(stage)
+        return state
+
+    def _read(self, path: Path, stage: str):
+        """One snapshot's state; a :class:`CheckpointError` names the fault."""
+        name = f"stats snapshot {path.name}"
+        try:
             with np.load(path, allow_pickle=False) as payload:
                 arrays = {k: payload[k] for k in payload.files}
         except Exception as exc:
-            self.skipped.append(f"stats snapshot {path.name}: unreadable ({exc!r})")
-            return MISSING
+            raise CheckpointError(f"{name}: unreadable ({exc!r})") from exc
         try:
             meta_text = bytes(arrays.pop("__meta__")).decode("utf-8")
             checksum = bytes(arrays.pop("__checksum__")).decode("ascii")
             meta = json.loads(meta_text)
         except Exception as exc:
-            self.skipped.append(f"stats snapshot {path.name}: bad metadata ({exc!r})")
-            return MISSING
+            raise CheckpointError(f"{name}: bad metadata ({exc!r})") from exc
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{name}: bad metadata (not a JSON object)")
         if checksum != _stats_checksum(meta_text, arrays):
-            self.skipped.append(
-                f"stats snapshot {path.name}: failed its checksum (corrupt or tampered)"
-            )
-            return MISSING
+            raise CheckpointError(f"{name}: failed its checksum (corrupt or tampered)")
         if meta.get("format") != STATS_FORMAT:
-            self.skipped.append(
-                f"stats snapshot {path.name}: format {meta.get('format')!r}, "
-                f"expected {STATS_FORMAT!r}"
+            raise CheckpointError(
+                f"{name}: format {meta.get('format')!r}, expected {STATS_FORMAT!r}"
             )
-            return MISSING
         if meta.get("config_hash") not in (self.config_hash, *self.also_accept):
-            self.skipped.append(
-                f"stats snapshot {path.name}: config/schema fingerprint mismatch"
-            )
-            return MISSING
+            raise CheckpointError(f"{name}: config/schema fingerprint mismatch")
         if meta.get("stage") != stage:
-            self.skipped.append(
-                f"stats snapshot {path.name}: stage {meta.get('stage')!r} "
-                f"does not match {stage!r}"
+            raise CheckpointError(
+                f"{name}: stage {meta.get('stage')!r} does not match {stage!r}"
             )
-            return MISSING
         try:
-            state = _decode_state(meta["spec"], arrays)
+            return _decode_state(meta["spec"], arrays)
         except Exception as exc:
-            self.skipped.append(f"stats snapshot {path.name}: undecodable ({exc!r})")
-            return MISSING
-        self.resumed.append(stage)
-        return state
+            raise CheckpointError(f"{name}: undecodable ({exc!r})") from exc
 
     def run(self, stage: str, compute: Callable[[], object]):
         """Load ``stage`` if a valid snapshot exists, else compute + save."""

@@ -47,7 +47,8 @@ class RuntimeReport:
     chunks_quarantined: "list[ChunkQuarantineRecord]" = field(default_factory=list)
     #: Iteration a resumed fit restarted *after* (None = fresh fit).
     resumed_from_iteration: "int | None" = None
-    #: Checkpoints successfully persisted during this run.
+    #: Iteration checkpoints persisted during this run (a stopped fit's
+    #: record of its stop is not one).
     checkpoints_written: int = 0
     #: Reasons for every checkpoint file skipped as corrupt/mismatched.
     checkpoints_skipped: "list[str]" = field(default_factory=list)

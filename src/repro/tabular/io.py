@@ -14,14 +14,17 @@ Two tiers:
   triples, re-iterable any number of times at O(chunk) resident memory.
   ``SAFE.fit`` accepts a :class:`ChunkedDataset` directly (see
   :mod:`repro.core.stream`).
+
+Every file written here is published through :func:`repro.utils.atomic_write`
+or :func:`~repro.utils.atomic_path`; a chunk manifest is a checksummed record
+(:func:`repro.utils.record_text`, :func:`~repro.utils.read_record`).
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import json
-import os
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,7 @@ import numpy as np
 from ..exceptions import ChunkIntegrityError, DataError
 from ..runtime.failpoints import failpoint
 from ..runtime.report import ChunkQuarantineRecord
-from ..utils import atomic_path, atomic_write
+from ..utils import atomic_path, atomic_write, read_record, record_text
 from .dataset import Dataset, default_names
 
 #: Default rows per chunk: 64k rows x 16 float64 columns is an 8 MB slab.
@@ -40,6 +43,9 @@ MANIFEST_FORMAT = "repro-manifest-v1"
 
 #: Sidecar suffix: the manifest for ``X.npy`` lives at ``X.npy.manifest.json``.
 MANIFEST_SUFFIX = ".manifest.json"
+
+#: Manifest payload keys :class:`ChunkedDataset` reads.
+_MANIFEST_KEYS = ("chunk_rows", "n_rows", "n_cols", "dtype", "labeled", "chunks")
 
 
 def manifest_path_for(x_path: "str | Path") -> Path:
@@ -71,11 +77,11 @@ def write_manifest(
 
     One pass over the *full* backing arrays (views share a backing, so
     the manifest always covers every row): per-chunk content digests,
-    the row/col shape, and a dtype fingerprint, published atomically via
-    temp-file + ``os.replace`` so a crash mid-write never leaves a
-    valid-looking partial manifest. ``path`` defaults to the sidecar
-    location (:func:`manifest_path_for`) and is required for in-memory
-    datasets.
+    the row/col shape, and a dtype fingerprint, in a checksummed record
+    published through :func:`repro.utils.atomic_write`, so a crash
+    mid-write never leaves a valid-looking partial manifest. ``path``
+    defaults to the sidecar location (:func:`manifest_path_for`) and is
+    required for in-memory datasets.
     """
     if path is None:
         if data.x_path is None:
@@ -103,14 +109,8 @@ def write_manifest(
         "names": list(data.names),
         "chunks": digests,
     }
-    record = {
-        "checksum": hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode("utf-8")
-        ).hexdigest(),
-        "payload": payload,
-    }
     with atomic_write(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, indent=2))
+        fh.write(record_text(payload))
     return path
 
 
@@ -120,30 +120,10 @@ def load_manifest(path: "str | Path") -> dict:
     A corrupt manifest is treated exactly like a corrupt chunk — loudly.
     Trusting a tampered manifest would let a tampered chunk verify.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ChunkIntegrityError(f"cannot read manifest {path}: {exc}") from exc
-    try:
-        record = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ChunkIntegrityError(
-            f"manifest {path} is not valid JSON (truncated write?): {exc}"
-        ) from exc
-    if not isinstance(record, dict) or "payload" not in record:
-        raise ChunkIntegrityError(f"manifest {path} has no payload")
-    payload = record["payload"]
-    body = json.dumps(payload, sort_keys=True)
-    if record.get("checksum") != hashlib.sha256(body.encode("utf-8")).hexdigest():
-        raise ChunkIntegrityError(
-            f"manifest {path} failed its checksum (corrupt or tampered)"
-        )
-    if payload.get("format") != MANIFEST_FORMAT:
-        raise ChunkIntegrityError(
-            f"manifest {path} has format {payload.get('format')!r}, "
-            f"expected {MANIFEST_FORMAT!r}"
-        )
+    payload = read_record(path, "manifest", MANIFEST_FORMAT, ChunkIntegrityError)
+    missing = [key for key in _MANIFEST_KEYS if key not in payload]
+    if missing:
+        raise ChunkIntegrityError(f"manifest {path} lacks {', '.join(missing)}")
     return payload
 
 
@@ -497,20 +477,9 @@ class ChunkedDataset:
         manifest = self._ensure_manifest()
         if manifest is None:
             return ()
-        bad = []
-        for m in range(len(manifest["chunks"])):
-            reason = self._verify_chunk(m)
-            if reason is not None:
-                if self.on_chunk_error == "raise":
-                    cr = int(manifest["chunk_rows"])
-                    lo = m * cr
-                    hi = min(lo + cr, int(manifest["n_rows"]))
-                    raise ChunkIntegrityError(
-                        f"{self.x_path or 'in-memory arrays'}: chunk {m} "
-                        f"(rows [{lo}, {hi})) {reason}"
-                    )
-                bad.append(m)
-        return tuple(bad)
+        self._verify_rows(0, self._backing_rows)
+        n_chunks = len(manifest["chunks"])
+        return tuple(m for m in range(n_chunks) if self._verify_chunk(m) is not None)
 
     # -- shape / schema ----------------------------------------------
     @property
@@ -762,49 +731,39 @@ def csv_to_npy(
         raise DataError(f"{csv_path} has a header but no data rows")
     if labeled and y_path is None:
         raise DataError("labeled CSV needs a y_path for the label memmap")
-    with atomic_path(x_path, suffix=".npy") as x_tmp:
+    with atomic_path(x_path, suffix=".npy") as x_tmp, (
+        atomic_path(y_path, suffix=".npy") if labeled else nullcontext()
+    ) as y_tmp:
         X_out = np.lib.format.open_memmap(
             x_tmp, mode="w+", dtype=np.float64, shape=(n_rows, len(names))
         )
         y_out = None
         if labeled:
-            y_tmp = Path(str(y_path) + ".tmp.npy")
             y_out = np.lib.format.open_memmap(
                 y_tmp, mode="w+", dtype=np.float64, shape=(n_rows,)
             )
-        try:
-            for rows, X_chunk, y_chunk in iter_csv_chunks(
-                csv_path, chunk_rows, label_column
-            ):
-                X_out[rows.start : rows.stop] = X_chunk
-                if y_out is not None:
-                    y_out[rows.start : rows.stop] = y_chunk
-            X_out.flush()
-            del X_out
+        for rows, X_chunk, y_chunk in iter_csv_chunks(
+            csv_path, chunk_rows, label_column
+        ):
+            X_out[rows.start : rows.stop] = X_chunk
             if y_out is not None:
-                y_out.flush()
-                del y_out
-                os.replace(y_tmp, y_path)
-        finally:
-            if labeled and y_tmp.exists():
-                y_tmp.unlink()
-    data = ChunkedDataset.from_npy(
-        x_path,
-        y_path if labeled else None,
-        names=names,
-        chunk_rows=chunk_rows,
-        manifest=False,
-    )
-    if manifest:
-        write_manifest(data)
-        data = ChunkedDataset.from_npy(
-            x_path,
-            y_path if labeled else None,
-            names=names,
-            chunk_rows=chunk_rows,
-            manifest=True,
-        )
-    return data
+                y_out[rows.start : rows.stop] = y_chunk
+        X_out.flush()
+        del X_out
+        if y_out is not None:
+            y_out.flush()
+            del y_out
+    return _npy_view(x_path, y_path if labeled else None, names, chunk_rows, manifest)
+
+
+def _npy_view(x_path, y_path, names, chunk_rows: int, manifest: bool) -> ChunkedDataset:
+    """The view over freshly published ``.npy`` files; with ``manifest``
+    their sidecar manifest is written first and the view verifies it."""
+    data = ChunkedDataset.from_npy(x_path, y_path, names, chunk_rows, manifest=False)
+    if not manifest:
+        return data
+    write_manifest(data)
+    return ChunkedDataset.from_npy(x_path, y_path, names, chunk_rows, manifest=True)
 
 
 def save_npy(
@@ -816,7 +775,7 @@ def save_npy(
 ) -> ChunkedDataset:
     """Persist a :class:`Dataset` as ``.npy`` files; return the mapped view.
 
-    Writes are atomic (temp file + ``os.replace``), so a crash mid-save
+    Writes go through :func:`repro.utils.atomic_path`, so a crash mid-save
     leaves either the previous files or nothing — never a truncated
     ``.npy`` that parses. ``manifest=True`` also writes the sidecar
     integrity manifest and returns a verifying view.
@@ -828,18 +787,5 @@ def save_npy(
             raise DataError("labeled dataset needs a y_path")
         with atomic_path(y_path, suffix=".npy") as tmp:
             np.save(tmp, data.y)
-    out = ChunkedDataset.from_npy(
-        x_path,
-        y_path if data.y is not None else None,
-        names=data.names,
-        manifest=False,
-    )
-    if manifest:
-        write_manifest(out)
-        out = ChunkedDataset.from_npy(
-            x_path,
-            y_path if data.y is not None else None,
-            names=data.names,
-            manifest=True,
-        )
-    return out
+    y_path = y_path if data.y is not None else None
+    return _npy_view(x_path, y_path, data.names, DEFAULT_CHUNK_ROWS, manifest)

@@ -1,4 +1,4 @@
-"""Shared small utilities: RNG handling, validation, timing.
+"""Shared small utilities: RNG handling, validation, durable writes, timing.
 
 These helpers keep the rest of the codebase free of repeated boilerplate for
 random-state normalization and array validation, mirroring the conventions
@@ -7,6 +7,8 @@ of mainstream ML libraries so the public API feels familiar.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import time
 from contextlib import contextmanager
@@ -135,6 +137,46 @@ def atomic_write(
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
+
+
+def _checksum(payload: dict) -> str:
+    """SHA-256 of ``payload``'s sorted-key JSON: a record's checksum."""
+    body = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+def record_text(payload: dict) -> str:
+    """``payload`` as a checksummed JSON record (checkpoints, manifests);
+    publish it with :func:`atomic_write`, read it with :func:`read_record`."""
+    return json.dumps({"checksum": _checksum(payload), "payload": payload}, indent=2)
+
+
+def read_record(path: "str | Path", noun: str, fmt: str, error: type) -> dict:
+    """The payload of the :func:`record_text` record at ``path``.
+
+    Raises ``error``, naming the file as ``noun``, when the file cannot
+    be read, is not JSON, holds no object payload, fails its checksum or
+    carries another ``format`` tag than ``fmt``.
+    """
+    path = Path(path)
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeError) as exc:
+        raise error(f"cannot read {noun} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(
+            f"{noun} {path} is not valid JSON (truncated write?): {exc}"
+        ) from exc
+    payload = record.get("payload") if isinstance(record, dict) else None
+    if not isinstance(payload, dict):
+        raise error(f"{noun} {path} has no payload")
+    if record.get("checksum") != _checksum(payload):
+        raise error(f"{noun} {path} failed its checksum (corrupt or tampered)")
+    if payload.get("format") != fmt:
+        raise error(
+            f"{noun} {path} has format {payload.get('format')!r}, expected {fmt!r}"
+        )
+    return payload
 
 
 class Timer:

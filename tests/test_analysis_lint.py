@@ -610,6 +610,22 @@ class TestArtifactWriteRule:
         )
         assert "non-atomic-artifact-write" not in _rule_ids(findings)
 
+    def test_other_replace_calls_do_not_exempt(self):
+        # str.replace is no publication: both raw writes must be flagged
+        findings = _lint_src(
+            "def plain(report, path):\n"
+            "    with open(path, 'w') as fh:\n"
+            "        fh.write(report)\n"
+            "def renamed(report, path, name):\n"
+            "    key = name.replace('-', '_')\n"
+            "    with open(path, 'w') as fh:\n"
+            "        fh.write(key + report)\n"
+        )
+        lines = sorted(
+            f.line for f in findings if f.rule == "non-atomic-artifact-write"
+        )
+        assert lines == [2, 6]
+
     def test_nested_function_scope_is_independent(self):
         # the outer function's os.replace must NOT launder a raw write
         # inside a nested function, which has its own publication duty
