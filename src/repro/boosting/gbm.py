@@ -13,7 +13,13 @@ regularized split objective of Chen & Guestrin (2016): shrinkage, row
 subsampling, column subsampling, and optional early stopping on a
 validation set.
 
-The training loop runs entirely on binned codes:
+There is one boosting loop, :meth:`GradientBoostingClassifier._boost`,
+and it runs entirely on binned codes. :meth:`~GradientBoostingClassifier.fit`
+bins the matrix and the eval set and runs it over an in-memory
+:class:`~repro.boosting.tree.RowStore`; the out-of-core fit
+(:func:`repro.boosting.stream.fit_gbm_streaming`) supplies streamed
+edges, memmapped codes, a memmap-backed store and tree snapshots and
+runs the same rounds:
 
 * the training matrix is quantile-binned once; each round's tree grows
   with histogram subtraction (only the smaller child of every split is
@@ -100,52 +106,80 @@ class GradientBoostingClassifier:
     ) -> "GradientBoostingClassifier":
         """Fit on ``(X, y)``; optionally early-stop on ``eval_set``.
 
-        Training is fully binned: ``X`` is quantile-coded once, each tree
-        returns its fit-time leaf assignments for the margin gather, and
-        ``eval_set`` is coded once with the training edges and descended
-        on integer codes per round. With ``early_stopping_rounds`` set,
-        ``trees_`` is truncated to ``best_iteration_ + 1`` after the loop
-        so predictions come from the best validated model.
+        ``X`` is quantile-coded once and ``eval_set`` is coded once with
+        the training edges; the rounds are :meth:`_boost` over one
+        in-memory :class:`~repro.boosting.tree.RowStore`. With
+        ``early_stopping_rounds`` set, ``trees_`` is truncated to
+        ``best_iteration_ + 1`` so predictions come from the best
+        validated model.
         """
         X = as_float_matrix(X)
-        loss = get_loss(self.loss_name)
         if self.loss_name == "logistic":
             y = as_label_vector(y, X.shape[0])
         else:
             y = np.asarray(y, dtype=np.float64).ravel()
             if y.size != X.shape[0]:
                 raise DataError("X and y row mismatch")
-        rng = check_random_state(self.random_state)
         self.n_features_ = X.shape[1]
         codes, edges = quantile_codes_matrix(X, max_bins=self.max_bins)
         # One narrow copy for the whole fit (instead of one per tree
         # inside the histogram builder).
         stride = histogram_stride(edges)
         codes = compact_codes(codes, stride)
-        self.base_score_ = loss.base_score(y)
-        margin = np.full(X.shape[0], self.base_score_)
-
-        eval_margin = None
-        eval_codes = None
         if eval_set is not None:
             X_eval = as_float_matrix(eval_set[0])
-            y_eval = np.asarray(eval_set[1], dtype=np.float64).ravel()
             if X_eval.shape[1] != self.n_features_:
                 raise DataError("eval_set feature count mismatch")
-            eval_margin = np.full(X_eval.shape[0], self.base_score_)
-            # Bin the eval set once with the training edges; every round's
-            # eval prediction is then a binned descent over int codes.
-            eval_codes = compact_codes(codes_from_edges_matrix(X_eval, edges), stride)
+            eval_set = (
+                compact_codes(codes_from_edges_matrix(X_eval, edges), stride),
+                np.asarray(eval_set[1], dtype=np.float64).ravel(),
+            )
+        return self._boost(codes, edges, y, RowStore(X.shape[0]), eval_set=eval_set)
 
-        self.trees_ = []
+    def _boost(
+        self,
+        codes: np.ndarray,
+        edges: "list[np.ndarray]",
+        y: np.ndarray,
+        store: RowStore,
+        *,
+        trees: "list[Tree] | tuple" = (),
+        on_tree=None,
+        eval_set: "tuple[np.ndarray, np.ndarray] | None" = None,
+    ) -> "GradientBoostingClassifier":
+        """The boosting rounds on ``y``'s rows binned with ``edges``.
+
+        ``store`` (a :class:`~repro.boosting.tree.RowStore` for those
+        rows) holds the margin, gradient and hessian next to the grower's
+        buffers, and every pass over rows walks its pieces. ``trees`` are
+        already-grown first rounds (a resumed fit): they are replayed over
+        ``codes`` in round order, so the margin has the bits of an
+        uninterrupted fit. ``on_tree(round, tree)`` is called once per
+        newly grown tree. ``eval_set`` is ``(codes, labels)`` binned with
+        ``edges``.
+        """
+        loss = get_loss(self.loss_name)
+        rng = check_random_state(self.random_state)
+        n_rows = store.n_rows
+        pieces = list(store.pieces(0, n_rows))
+        margin, grad, hess = (
+            store.buffer(name, np.float64) for name in ("margin", "grad", "hess")
+        )
+        self.base_score_ = loss.base_score(y)
+        self.best_iteration_ = None
+        self.trees_ = list(trees)
+        for lo, hi in pieces:
+            margin[lo:hi] = self.base_score_
+            for tree in self.trees_:
+                margin[lo:hi] += self.learning_rate * tree.predict_codes(codes[lo:hi])
+        if eval_set is not None:
+            eval_codes, y_eval = eval_set
+            eval_margin = np.full(eval_codes.shape[0], self.base_score_)
         best_eval = np.inf
         rounds_since_best = 0
-        self.best_iteration_ = None
-        n_rows = X.shape[0]
-        # One set of per-row grower buffers for every tree of the fit.
-        store = RowStore(n_rows)
-        for it in range(self.n_estimators):
-            grad, hess = loss.grad_hess(y, margin)
+        for it in range(len(self.trees_), self.n_estimators):
+            for lo, hi in pieces:
+                grad[lo:hi], hess[lo:hi] = loss.grad_hess(y[lo:hi], margin[lo:hi])
             rows = None
             if self.subsample < 1.0:
                 keep = rng.random(n_rows) < self.subsample
@@ -156,18 +190,20 @@ class GradientBoostingClassifier:
                 codes, edges, grad, hess, rng=rng, rows=rows, store=store
             )
             self.trees_.append(tree)
-            # Margin update: rows in the fit partition gather their leaf
-            # directly; rows dropped by subsampling descend the pre-binned
-            # codes (no raw-float descent anywhere in training).
-            leaf_ids = tree.fit_leaf_ids_
-            if rows is not None:
-                dropped = leaf_ids < 0
-                if dropped.any():
-                    leaf_ids = leaf_ids.copy()
-                    leaf_ids[dropped] = tree._descend_codes(codes[dropped])
-            margin += self.learning_rate * tree.value[leaf_ids]
+            if on_tree is not None:
+                on_tree(it, tree)
+            # Margin update: rows in the fit partition gather their leaf;
+            # rows dropped by subsampling (leaf id -1) descend the codes.
+            for lo, hi in pieces:
+                leaf_ids = tree.fit_leaf_ids_[lo:hi]
+                if rows is not None:
+                    dropped = leaf_ids < 0
+                    if dropped.any():
+                        leaf_ids = leaf_ids.copy()
+                        leaf_ids[dropped] = tree._descend_codes(codes[lo:hi][dropped])
+                margin[lo:hi] += self.learning_rate * tree.value[leaf_ids]
             tree.fit_leaf_ids_ = None
-            if eval_margin is not None:
+            if eval_set is not None:
                 eval_margin += self.learning_rate * tree.predict_codes(eval_codes)
                 eval_loss = loss.loss(y_eval, eval_margin)
                 if eval_loss < best_eval - 1e-9:
@@ -311,15 +347,6 @@ class GradientBoostingRegressor(GradientBoostingClassifier):
     """Squared-loss variant sharing the whole training machinery."""
 
     loss_name: str = "squared"
-
-    def fit(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        eval_set: "tuple[np.ndarray, np.ndarray] | None" = None,
-    ) -> "GradientBoostingRegressor":
-        super().fit(X, y, eval_set=eval_set)
-        return self
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.decision_function(X)

@@ -13,19 +13,18 @@ of flat memory-mapped scratch arrays:
 * **codes** are written once into a Fortran-ordered uint8 memmap, so
   every later pass is a cheap page-in of O(chunk) bytes — the raw
   feature chunks are never revisited after the two up-front passes;
-* **trees** grow through :meth:`~repro.boosting.tree.Tree.fit` itself,
-  the in-memory grower, on plain views of the code, gradient and
-  hessian memmaps. Its per-row buffers (level row segments, gathered
-  child sums, partition mask, leaf ids) come from a
-  :class:`~repro.boosting.tree.RowStore` over scratch memmaps, and it
-  walks every one in pieces of ``_SCRATCH_ROWS`` rows, carrying each
-  histogram from one piece into the next. A streamed tree therefore
-  equals the in-memory tree on the same rows and edges in every field,
-  at any row count and ``chunk_rows``;
-* per-row state (margin, gradient/hessian) lives in flat memmaps,
-  worked on through plain-ndarray views and updated by chunked passes;
-  the margin update gathers each row's leaf value through the tree's
-  ``fit_leaf_ids_``.
+* **trees** grow in :meth:`~repro.boosting.gbm.GradientBoostingClassifier._boost`,
+  the in-memory fit's boosting loop, on plain views of the code and
+  label memmaps. Its per-row state (margin, gradient, hessian) and the
+  grower's per-row buffers (level row segments, gathered child sums,
+  partition mask, leaf ids) come from a
+  :class:`~repro.boosting.tree.RowStore` over scratch memmaps, and
+  every pass over rows walks pieces of ``_SCRATCH_ROWS`` rows, carrying
+  each histogram from one piece into the next. A streamed tree
+  therefore equals the in-memory tree on the same rows and edges in
+  every field, at any row count and ``chunk_rows``;
+* a callback snapshots every grown tree, and a resumed fit hands the
+  restored trees to the loop, which replays them instead of regrowing.
 
 Unsupported in v1 (rejected with ``ConfigurationError``): row/column
 subsampling, early stopping / eval sets, and layouts needing more than
@@ -55,7 +54,6 @@ from .histogram import histogram_stride
 # Unused here: ``perfbench/spans.py`` binds its ``boosting.stream.hist``
 # span to this module attribute, so the name must stay importable.
 from .histogram import level_histogram_partial  # noqa: F401
-from .losses import get_loss
 from .tree import RowStore, Tree
 
 #: Rows per piece of every pass over the scratch memmaps, tree growth
@@ -112,6 +110,17 @@ def _tree_from_state(model: GradientBoostingClassifier, state: dict) -> Tree:
     return tree
 
 
+def _restored_trees(model: GradientBoostingClassifier, stats) -> "list[Tree]":
+    """The first rounds' trees a killed fit snapshotted, up to the first gap."""
+    trees: "list[Tree]" = []
+    while stats is not None and len(trees) < model.n_estimators:
+        state = stats.load(f"tree-{len(trees):04d}")
+        if state is MISSING:
+            break
+        trees.append(_tree_from_state(model, state))
+    return trees
+
+
 def _check_streamable(model: GradientBoostingClassifier) -> None:
     if model.subsample != 1.0 or model.colsample != 1.0:  # repro: ignore[float-eq] config sentinels: 1.0 is stored verbatim, not computed
         raise ConfigurationError(
@@ -151,19 +160,24 @@ def fit_gbm_streaming(
     gradient, hessian and the grower's five per-row buffers); resident
     memory stays O(piece + histogram state) regardless of ``n_rows``.
 
+    The rounds are the in-memory fit's boosting loop
+    (:meth:`~repro.boosting.gbm.GradientBoostingClassifier._boost`); this
+    function supplies its edges, the binned codes and labels, and a
+    :class:`~repro.boosting.tree.RowStore` over scratch memmaps whose
+    pieces are ``_SCRATCH_ROWS`` rows.
+
     ``stats`` (a :class:`~repro.runtime.StatsCheckpointStore` or scoped
     view) makes the fit crash-resumable: the sketch edges, the binned
     code/label memmaps (digest-bound to a ``codes-ready`` snapshot so a
     torn scratch file is detected, not trusted), and every grown tree
-    checkpoint as sufficient statistics. A resumed call restores the
-    completed trees, rebuilds the margin by replaying them over the code
-    memmap (the same per-element add order, hence bit-identical), and
-    continues growing from the first missing tree.
+    (a ``tree-NNNN`` snapshot) checkpoint as sufficient statistics. A
+    resumed call restores the snapshotted trees and the loop replays
+    them over the codes (the same per-element add order, hence a
+    bit-identical margin) before growing the first missing tree.
     """
     _check_streamable(model)
     if n_rows < 1 or n_cols < 1:
         raise DataError("streaming fit needs n_rows >= 1 and n_cols >= 1")
-    loss = get_loss(model.loss_name)
     if edges is None:
         def compute_edges():
             return streamed_quantile_edges(
@@ -199,25 +213,24 @@ def fit_gbm_streaming(
         # A codes-ready snapshot says the binning pass completed; trust it
         # only if the scratch files still match their recorded digests
         # (a crash mid-write leaves a mismatch, which costs one re-bin).
-        ready = MISSING
+        ready = False
         if stats is not None:
             snapshot = stats.load("codes-ready")
             if snapshot is not MISSING:
-                if (
+                ready = (
                     int(snapshot["n_rows"]) == n_rows
                     and int(snapshot["n_cols"]) == n_cols
                     and os.path.exists(codes_path)
                     and os.path.exists(y_path)
                     and _file_digest(codes_path) == snapshot["codes_digest"]
                     and _file_digest(y_path) == snapshot["y_digest"]
-                ):
-                    ready = snapshot
-                else:
+                )
+                if not ready:
                     stats.note_skip(
                         "codes-ready: scratch files missing or digest "
                         "mismatch; re-binning"
                     )
-        if ready is not MISSING:
+        if ready:
             codes = open_memmap(codes_path, mode="r+")
             y = open_memmap(y_path, mode="r+")
         else:
@@ -229,29 +242,8 @@ def fit_gbm_streaming(
                 fortran_order=True,
             )
             y = open_memmap(y_path, mode="w+", dtype=np.float64, shape=(n_rows,))
-        margin = open_memmap(
-            f"{scratch}/margin.npy", mode="w+", dtype=np.float64, shape=(n_rows,)
-        )
-        grad = open_memmap(
-            f"{scratch}/grad.npy", mode="w+", dtype=np.float64, shape=(n_rows,)
-        )
-        hess = open_memmap(
-            f"{scratch}/hess.npy", mode="w+", dtype=np.float64, shape=(n_rows,)
-        )
-        # The grower's per-row buffers, as plain views of scratch memmaps.
-        store = RowStore(n_rows, _SCRATCH_ROWS, lambda name, dtype, n: np.asarray(
-            open_memmap(f"{scratch}/{name}.npy", mode="w+", dtype=dtype, shape=(n,))
-        ))
-
-        if ready is not MISSING:
-            y_total = float(ready["y_total"])
-        else:
             # One pass: bin each chunk against the fitted edges, validate
-            # and stash the labels, and accumulate the exact label sum
-            # (sums of 0/1 floats are exact integers in any association
-            # order, so the streamed base score is bit-identical to the
-            # in-memory one).
-            y_total = 0.0
+            # and stash the labels.
             seen = 0
             for rows, X_chunk, y_chunk in chunk_iter():
                 if y_chunk is None:
@@ -266,7 +258,6 @@ def fit_gbm_streaming(
                     np.asarray(X_chunk, dtype=np.float64), edges
                 ).astype(np.uint8)
                 y[rows.start : rows.stop] = y_chunk
-                y_total += float(y_chunk.sum())
                 seen = rows.stop
             if seen != n_rows:
                 raise DataError(
@@ -280,60 +271,31 @@ def fit_gbm_streaming(
                     {
                         "n_rows": n_rows,
                         "n_cols": n_cols,
-                        "y_total": y_total,
                         "codes_digest": _file_digest(codes_path),
                         "y_digest": _file_digest(y_path),
                     },
                 )
-        # Plain-ndarray views of the memmaps: the same pages, without the
-        # memmap subclass's wrapping of every slice and gather.
-        codes, y, margin, grad, hess = (
-            np.asarray(a) for a in (codes, y, margin, grad, hess)
-        )
+        # The boosting loop's per-row buffers (margin, gradient, hessian
+        # and the grower's), as plain views of scratch memmaps.
+        store = RowStore(n_rows, _SCRATCH_ROWS, lambda name, dtype, n: np.asarray(
+            open_memmap(f"{scratch}/{name}.npy", mode="w+", dtype=dtype, shape=(n,))
+        ))
 
-        model.n_features_ = n_cols
-        # base_score is a function of mean(y) for both losses; feeding the
-        # streamed mean back through the loss reuses its exact clipping.
-        model.base_score_ = loss.base_score(np.asarray([y_total / n_rows]))
-        model.best_iteration_ = None
-        pieces = list(store.pieces(0, n_rows))
-        for lo, hi in pieces:
-            margin[lo:hi] = model.base_score_
-
-        model.trees_ = []
-        start_tree = 0
-        if stats is not None:
-            while start_tree < model.n_estimators:
-                state = stats.load(f"tree-{start_tree:04d}")
-                if state is MISSING:
-                    break
-                model.trees_.append(_tree_from_state(model, state))
-                start_tree += 1
-            # Replay the restored trees over the code memmap: the margin
-            # accumulates the same learning_rate * leaf_value terms in
-            # the same per-element order the uninterrupted fit used, so
-            # the resumed margin is bit-identical.
-            for tree in model.trees_:
-                for lo, hi in pieces:
-                    leaf_ids = tree._descend_codes(codes[lo:hi])
-                    margin[lo:hi] += model.learning_rate * tree.value[leaf_ids]
-        for t in range(start_tree, model.n_estimators):
-            for lo, hi in pieces:
-                g, h = loss.grad_hess(y[lo:hi], margin[lo:hi])
-                grad[lo:hi] = g
-                hess[lo:hi] = h
-            tree = model.new_tree().fit(codes, edges, grad, hess, store=store)
-            model.trees_.append(tree)
+        def on_tree(t: int, tree: Tree) -> None:
             if stats is not None:
                 stats.save(f"tree-{t:04d}", _tree_state(tree))
-            # Every row's fit-time leaf id is in the store: one gather
-            # per piece updates the margin.
-            for lo, hi in pieces:
-                margin[lo:hi] += (
-                    model.learning_rate * tree.value[tree.fit_leaf_ids_[lo:hi]]
-                )
-            tree.fit_leaf_ids_ = None
-        return model
+
+        model.n_features_ = n_cols
+        # Plain-ndarray views of the memmaps: the same pages, without the
+        # memmap subclass's wrapping of every slice and gather.
+        return model._boost(
+            np.asarray(codes),
+            edges,
+            np.asarray(y),
+            store,
+            trees=_restored_trees(model, stats),
+            on_tree=on_tree,
+        )
     finally:
         if own_scratch:
             shutil.rmtree(scratch, ignore_errors=True)

@@ -206,9 +206,9 @@ class RowStore:
     and walks each one in pieces of at most ``piece_rows`` rows, so the
     rest of its memory is O(piece). ``allocate(name, dtype, n_rows)``
     makes a buffer, once per name; by default a fresh array, and the
-    whole fit is one piece. A GBM fit keeps one store for all its trees;
-    the streamed fit's (``boosting.stream``) maps scratch files and has
-    bounded pieces.
+    whole fit is one piece. A GBM fit keeps one store for all its trees,
+    with its margin, gradient and hessian; the streamed fit's
+    (``boosting.stream``) maps scratch files and has bounded pieces.
     """
 
     def __init__(self, n_rows: int, piece_rows: "int | None" = None, allocate=None):

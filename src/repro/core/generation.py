@@ -74,6 +74,21 @@ def mining_model(
     )
 
 
+def ranking_model(
+    n_estimators: int,
+    max_depth: int,
+    random_state: "int | None",
+) -> GradientBoostingClassifier:
+    """The unfitted importance-ranking GBM (Algorithm 1 line 10); its
+    learning rate is the GBM default."""
+    return GradientBoostingClassifier(
+        n_estimators=n_estimators,
+        max_depth=max_depth,
+        random_state=random_state,
+        tie_rtol=GAIN_TIE_RTOL,
+    )
+
+
 def fit_mining_model(
     X: np.ndarray,
     y: np.ndarray,

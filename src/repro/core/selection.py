@@ -34,10 +34,11 @@ import numpy as np
 
 from ..boosting.carry import carried_paths, hyperparameters
 from ..boosting.gbm import GradientBoostingClassifier
-from ..boosting.tree import GAIN_TIE_RTOL, TreePath
+from ..boosting.tree import TreePath
 from ..exceptions import DataError
 from ..metrics.information import information_values
 from ..runtime.failpoints import failpoint
+from .generation import ranking_model
 from .redundancy import DEFAULT_BLOCK_SIZE, remove_redundant_features_blocked
 
 
@@ -124,6 +125,19 @@ def remove_redundant_features(
     return remove_redundant_features_blocked(X, ivs, theta, block_size=block_size)
 
 
+def importance_order(
+    model: GradientBoostingClassifier, top_k: "int | None"
+) -> np.ndarray:
+    """Column indices by decreasing average split gain, truncated to top_k.
+
+    Columns the model never split on have importance 0 and sort last;
+    ties break by column order.
+    """
+    importance = model.feature_importances_
+    order = np.lexsort((np.arange(importance.size), -importance))
+    return order if top_k is None else order[:top_k]
+
+
 def rank_by_importance(
     X: np.ndarray,
     y: np.ndarray,
@@ -134,22 +148,11 @@ def rank_by_importance(
 ) -> "tuple[np.ndarray, GradientBoostingClassifier]":
     """Stage 3: order columns by GBM average split gain, truncate to top_k.
 
-    Columns the model never split on inherit importance 0 and sort last;
-    ties break by column order. Returns ``(order, model)``: column
-    indices, best first, and the fitted ranking GBM.
+    Returns ``(order, model)``: :func:`importance_order` of the fitted
+    ranking GBM, and the model.
     """
-    model = GradientBoostingClassifier(
-        n_estimators=n_estimators,
-        max_depth=max_depth,
-        random_state=random_state,
-        tie_rtol=GAIN_TIE_RTOL,
-    )
-    model.fit(X, y)
-    importance = model.feature_importances_
-    order = np.lexsort((np.arange(importance.size), -importance))
-    if top_k is not None:
-        order = order[:top_k]
-    return order, model
+    model = ranking_model(n_estimators, max_depth, random_state).fit(X, y)
+    return importance_order(model, top_k), model
 
 
 def select_features(

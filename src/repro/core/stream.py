@@ -56,9 +56,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..boosting.carry import carried_paths, hyperparameters
-from ..boosting.gbm import GradientBoostingClassifier
 from ..boosting.stream import fit_gbm_streaming
-from ..boosting.tree import GAIN_TIE_RTOL
 from ..exceptions import ConfigurationError, DataError
 from ..metrics.batched import iv_from_counts
 from ..metrics.information import entropy_from_counts
@@ -76,6 +74,7 @@ from .generation import (
     mining_model,
     plan_features,
     rank_from_scores,
+    ranking_model,
 )
 from .pipeline import run_algorithm1
 from .redundancy import (
@@ -93,7 +92,7 @@ from .scoring import (
     gain_ratio_from_combination_counts,
     merge_combination_counts,
 )
-from .selection import SelectionReport
+from .selection import SelectionReport, importance_order
 from .transform import FeatureTransformer
 
 
@@ -292,11 +291,8 @@ class ChunkSource:
         n_rows = self.n_rows
         chunks_cand = forest_chunks(data, candidates)
 
-        ranking = GradientBoostingClassifier(
-            n_estimators=cfg.ranking_n_estimators,
-            max_depth=cfg.ranking_max_depth,
-            random_state=cfg.random_state,
-            tie_rtol=GAIN_TIE_RTOL,
+        ranking = ranking_model(
+            cfg.ranking_n_estimators, cfg.ranking_max_depth, cfg.random_state
         )
 
         # -- Algorithm 3: IV filter --------------------------------------
@@ -376,10 +372,7 @@ class ChunkSource:
             edges=[rank_edges[i] for i in kept_red],
             stats=self._scope("sel-rank-gbm"),
         )
-        importance = ranking.feature_importances_
-        order_local = np.lexsort((np.arange(importance.size), -importance))
-        if max_output is not None:
-            order_local = order_local[:max_output]
+        order_local = importance_order(ranking, max_output)
         final = kept_red[order_local]
         return SelectionReport(
             n_candidates=len(candidates),

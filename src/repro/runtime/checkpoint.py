@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import shutil
 from dataclasses import dataclass
@@ -195,6 +196,13 @@ class CheckpointManager:
         try:
             iteration = int(payload["iteration"])
             traces = tuple(dict(t) for t in payload.get("traces", ()))
+            # Trace scalars are JSON numbers or booleans (bool is an int).
+            for trace in traces:
+                for key, value in trace.items():
+                    if not (
+                        isinstance(value, (int, float)) and math.isfinite(value)
+                    ):
+                        raise ValueError(f"trace {key}={value!r} is not a number")
             expressions = tuple(
                 expression_from_dict(e) for e in payload["expressions"]
             )

@@ -118,12 +118,42 @@ def load_manifest(path: "str | Path") -> dict:
     """Parse + validate a manifest file; raise :class:`ChunkIntegrityError`.
 
     A corrupt manifest is treated exactly like a corrupt chunk — loudly.
-    Trusting a tampered manifest would let a tampered chunk verify.
+    Trusting a tampered manifest would let a tampered chunk verify. A
+    checksummed manifest whose keys have the wrong type, or whose
+    ``chunks`` is not one digest string per ``chunk_rows`` rows, raises
+    the error naming that key.
     """
     payload = read_record(path, "manifest", MANIFEST_FORMAT, ChunkIntegrityError)
     missing = [key for key in _MANIFEST_KEYS if key not in payload]
     if missing:
         raise ChunkIntegrityError(f"manifest {path} lacks {', '.join(missing)}")
+
+    def count(key: str, least: int) -> bool:
+        value = payload[key]
+        return type(value) is int and value >= least  # bools refused
+
+    expected = {
+        "chunk_rows": (count("chunk_rows", 1), "an int >= 1"),
+        "n_rows": (count("n_rows", 0), "an int >= 0"),
+        "n_cols": (count("n_cols", 0), "an int >= 0"),
+        "dtype": (isinstance(payload["dtype"], str), "a str"),
+        "labeled": (isinstance(payload["labeled"], bool), "a bool"),
+    }
+    for key, (ok, kind) in expected.items():
+        if not ok:
+            raise ChunkIntegrityError(
+                f"manifest {path}: {key} must be {kind}, got {payload[key]!r}"
+            )
+    n_chunks = -(-payload["n_rows"] // payload["chunk_rows"])
+    chunks = payload["chunks"]
+    if not (
+        isinstance(chunks, list)
+        and len(chunks) == n_chunks
+        and all(isinstance(digest, str) for digest in chunks)
+    ):
+        raise ChunkIntegrityError(
+            f"manifest {path}: chunks must be a list of {n_chunks} digest strings"
+        )
     return payload
 
 

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.boosting import GradientBoostingClassifier, GradientBoostingRegressor
+from repro.boosting.tree import RowStore, Tree
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.metrics import roc_auc_score
+from repro.tabular.binning import codes_from_edges_matrix, quantile_codes_matrix
 
 
 @pytest.fixture
@@ -116,6 +120,84 @@ class TestEarlyStopping:
         y = (X[:, 0] > 0).astype(float)
         with pytest.raises(DataError):
             GradientBoostingClassifier().fit(X, y, eval_set=(X[:, :2], y))
+
+
+class TestBoostLoop:
+    """``_boost`` is the one boosting loop: ``fit`` is its one-piece case,
+    and over a store whose pieces (7 rows) do not divide the rows it
+    grows the same model, subsampled or early-stopped."""
+
+    N, K = 603, 5
+
+    def _data(self, rng):
+        n, k = self.N, self.K
+        X = rng.normal(size=(n + 300, k))
+        X[rng.random(size=n + 300) < 0.1, 2] = np.nan
+        y = (X[:, 0] * X[:, 1] + 0.8 * rng.normal(size=n + 300) > 0).astype(float)
+        return X[:n], X[n:], y[:n], y[n:]
+
+    @staticmethod
+    def _assert_same_model(ref, boosted, rows):
+        assert boosted.best_iteration_ == ref.best_iteration_
+        assert boosted.base_score_.hex() == ref.base_score_.hex()
+        assert len(boosted.trees_) == len(ref.trees_)
+        for a, b in zip(ref.trees_, boosted.trees_):
+            for f in dataclasses.fields(Tree):
+                va, vb = (np.asarray(getattr(t, f.name)) for t in (a, b))
+                assert va.dtype == vb.dtype, f.name
+                assert np.array_equal(va, vb, equal_nan=va.dtype.kind == "f"), f.name
+        for X in rows:
+            assert np.array_equal(ref.predict_proba(X), boosted.predict_proba(X))
+
+    @pytest.mark.parametrize(
+        "params",
+        [dict(subsample=0.5), dict(early_stopping_rounds=3)],
+        ids=["subsample", "early-stopping"],
+    )
+    def test_piecewise_rounds_equal_fit(self, rng, params):
+        X, X_eval, y, y_eval = self._data(rng)
+
+        def model():
+            return GradientBoostingClassifier(
+                n_estimators=40, max_depth=3, max_bins=32, random_state=3, **params
+            )
+
+        ref = model().fit(X, y, eval_set=(X_eval, y_eval))
+        codes, edges = quantile_codes_matrix(X, max_bins=32)
+        eval_codes = codes_from_edges_matrix(X_eval, edges)
+        boosted = model()
+        boosted.n_features_ = self.K
+        boosted._boost(
+            codes,
+            edges,
+            y,
+            RowStore(self.N, piece_rows=7),
+            eval_set=(eval_codes, y_eval),
+        )
+        if "early_stopping_rounds" in params:
+            assert len(ref.trees_) == ref.best_iteration_ + 1 < 40
+        assert ref.best_iteration_ is not None
+        self._assert_same_model(ref, boosted, (X, X_eval))
+
+    def test_replayed_rounds_resume_the_fit(self, rng):
+        """Handed the first rounds' trees (a resumed streamed fit), the loop
+        replays them over the codes and grows the rest bit for bit."""
+        X, _, y, _ = self._data(rng)
+        ref = GradientBoostingClassifier(n_estimators=6, max_depth=3).fit(X, y)
+        codes, edges = quantile_codes_matrix(X, max_bins=ref.max_bins)
+        resumed = GradientBoostingClassifier(n_estimators=6, max_depth=3)
+        resumed.n_features_ = self.K
+        grown = []
+        resumed._boost(
+            codes,
+            edges,
+            y,
+            RowStore(self.N, piece_rows=7),
+            trees=ref.trees_[:3],
+            on_tree=lambda t, tree: grown.append(t),
+        )
+        assert grown == [3, 4, 5]
+        self._assert_same_model(ref, resumed, (X,))
 
 
 class TestMissingValueRouting:

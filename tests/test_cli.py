@@ -194,6 +194,18 @@ class TestErrorExitCodes:
         assert rc == 2
         assert "error: SchemaError:" in capsys.readouterr().err
 
+    def test_single_class_labels_fit_exits_2(self, tmp_path, capsys):
+        train = tmp_path / "one_class.csv"
+        rows = ["f0,f1,label"] + [f"{i},{i % 3},1" for i in range(20)]
+        train.write_text("\n".join(rows) + "\n")
+        rc = main(["fit", "--train", str(train), "--plan", str(tmp_path / "p.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: DataError: SAFE.fit requires both classes in the "
+            "training labels\n"
+        )
+        assert not (tmp_path / "p.json").exists()
+
     def test_finding_exits_stay_at_1(self, tmp_path, capsys):
         # Exit 1 still means "ran fine, rejected the input", not a fault.
         src = tmp_path / "src"

@@ -19,6 +19,7 @@ import re
 import numpy as np
 import pytest
 
+from repro.core import SAFE, SAFEConfig
 from repro.exceptions import CheckpointError, ChunkIntegrityError
 from repro.operators.expressions import Applied, Var
 from repro.runtime.checkpoint import (
@@ -27,11 +28,14 @@ from repro.runtime.checkpoint import (
     STATS_FORMAT,
     CheckpointManager,
     StatsCheckpointStore,
+    config_fingerprint,
 )
+from repro.tabular import Dataset
 from repro.tabular.io import (
     MANIFEST_FORMAT,
     ChunkedDataset,
     load_manifest,
+    save_npy,
     write_manifest,
 )
 
@@ -164,8 +168,22 @@ class TestMalformedButChecksummed:
 
     @pytest.mark.parametrize(
         "changes",
-        [{"iteration": "zero"}, {"traces": 5}, {"traces": [5]}],
-        ids=["iteration-zero", "traces-5", "trace-5"],
+        [{"iteration": "zero"}, {"traces": 5}, {"traces": [5]}]
+        + [
+            {"traces": [{"iteration": 0, "n_paths": value}]}
+            for value in ("many", None, [3], {"n": 3}, float("nan"), float("inf"))
+        ],
+        ids=[
+            "iteration-zero",
+            "traces-5",
+            "trace-5",
+            "trace-value-str",
+            "trace-value-null",
+            "trace-value-list",
+            "trace-value-object",
+            "trace-value-nan",
+            "trace-value-inf",
+        ],
     )
     def test_undecodable_iteration_or_traces_raise_checkpoint_error(
         self, tmp_path, changes
@@ -178,6 +196,29 @@ class TestMalformedButChecksummed:
             manager.load(manager.path_for(0))
         state, skipped = manager.latest()
         assert state is None and len(skipped) == 1
+
+    def test_fit_skips_a_checkpoint_with_a_non_numeric_trace(self, tmp_path):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(200, 3))
+        y = (X[:, 0] * X[:, 1] > 0).astype(np.float64)
+        data = Dataset(X=X, y=y, names=("a", "b", "c"))
+        cfg = SAFEConfig(n_iterations=2)
+        reference = SAFE(cfg).fit(data)
+        manager = CheckpointManager(tmp_path)
+        manager.save(
+            0,
+            [Var(0), Var(1)],
+            config_fingerprint(cfg, data.names),
+            traces=[{"iteration": 0, "n_paths": "many"}],
+        )
+        safe = SAFE(cfg)
+        psi = safe.fit(data, checkpoint_dir=tmp_path)
+        assert psi.feature_keys == reference.feature_keys
+        assert safe.runtime_report_.resumed_from_iteration is None
+        assert safe.runtime_report_.checkpoints_skipped == [
+            f"checkpoint {manager.path_for(0)} holds undecodable expressions, "
+            "iteration or traces: ValueError(\"trace n_paths='many' is not a number\")"
+        ]
 
     def test_checkpoint_without_iteration_raises_checkpoint_error(self, tmp_path):
         manager = CheckpointManager(tmp_path)
@@ -195,6 +236,76 @@ class TestMalformedButChecksummed:
         path.write_text(_envelope(payload), encoding="utf-8")
         with pytest.raises(ChunkIntegrityError, match=f"lacks {key}$"):
             load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("chunks", 5),
+            ("chunks", ["0" * 40]),
+            ("chunks", ["0" * 40, 1]),
+            ("n_rows", None),
+            ("n_rows", -1),
+            ("n_cols", True),
+            ("chunk_rows", 0),
+            ("chunk_rows", 4.0),
+            ("dtype", 8),
+            ("labeled", "yes"),
+        ],
+        ids=[
+            "chunks-int",
+            "chunks-one-short",
+            "chunks-non-str",
+            "n_rows-null",
+            "n_rows-negative",
+            "n_cols-bool",
+            "chunk_rows-zero",
+            "chunk_rows-float",
+            "dtype-int",
+            "labeled-str",
+        ],
+    )
+    def test_manifest_key_of_the_wrong_shape_names_it(self, tmp_path, key, value):
+        path = tmp_path / "m.json"
+        path.write_text(_envelope(_manifest_payload(**{key: value})), encoding="utf-8")
+        text = f"manifest {path}: {key} must be"
+        with pytest.raises(ChunkIntegrityError, match="^" + re.escape(text)):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "key, value_of",
+        [
+            ("chunks", lambda chunks: 5),
+            ("chunks", lambda chunks: chunks[:-1]),
+            ("n_rows", lambda chunks: None),
+            ("chunk_rows", lambda chunks: 0),
+            ("labeled", lambda chunks: "yes"),
+        ],
+        ids=[
+            "chunks-int",
+            "chunks-one-short",
+            "n_rows-null",
+            "chunk_rows-zero",
+            "labeled-str",
+        ],
+    )
+    def test_dataset_with_a_malformed_manifest_raises_the_integrity_error(
+        self, tmp_path, key, value_of
+    ):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(200, 3))
+        y = (X[:, 0] > 0).astype(np.float64)
+        data = Dataset(X=X, y=y, names=("a", "b", "c"))
+        x_path, y_path = tmp_path / "X.npy", tmp_path / "y.npy"
+        save_npy(data, x_path, y_path)
+        view = ChunkedDataset.from_npy(x_path, y_path, chunk_rows=50, manifest=False)
+        sidecar = write_manifest(view)
+        payload = json.loads(sidecar.read_text(encoding="utf-8"))["payload"]
+        payload[key] = value_of(payload["chunks"])
+        sidecar.write_text(_envelope(payload), encoding="utf-8")
+        with pytest.raises(ChunkIntegrityError, match=f"{key} must be"):
+            ChunkedDataset.from_npy(
+                x_path, y_path, names=data.names, chunk_rows=50, manifest=True
+            ).verify_integrity()
 
     def test_stats_snapshot_with_non_object_metadata_is_skipped(self, tmp_path):
         from repro.runtime.checkpoint import _stats_checksum
