@@ -1,8 +1,11 @@
 """Shared machinery for the comparison methods of Section V.
 
 RAND and IMP "follow the same feature selection process as SAFE"
-(§V-A.1), so the selection pass lives here; the methods differ only in
-*which* feature combinations they feed to the operators.
+(§V-A.1): :func:`run_generation_and_selection` runs one Algorithm-1
+iteration through SAFE's own in-memory row source, with the methods'
+sampled combinations standing in for the mined and ranked ones. The
+methods differ only in *which* feature combinations they feed to the
+operators.
 """
 
 from __future__ import annotations
@@ -11,14 +14,13 @@ from itertools import combinations as iter_combinations
 
 import numpy as np
 
-from ..core.generation import Combination, RankedCombination, generate_features
-from ..core.selection import select_features
+from ..core.config import SAFEConfig
+from ..core.generation import Combination, RankedCombination
+from ..core.pipeline import MatrixSource
 from ..core.transform import FeatureTransformer
 from ..exceptions import DataError
-from ..operators.engine import EvalCache, evaluate_forest
-from ..operators.expressions import Expression, Var
+from ..operators.expressions import Var
 from ..tabular.dataset import Dataset
-from ..tabular.preprocess import clean_matrix
 
 
 def pairs_to_combinations(pairs: "list[tuple[int, ...]]") -> list[RankedCombination]:
@@ -58,49 +60,27 @@ def sample_combinations(
 
 def run_generation_and_selection(
     ranked: "list[RankedCombination]",
-    operator_names: tuple[str, ...],
+    cfg: SAFEConfig,
     train: Dataset,
-    max_output: "int | None",
-    iv_threshold: float,
-    iv_bins: int,
-    pearson_threshold: float,
-    ranking_n_estimators: int,
-    ranking_max_depth: int,
-    random_state: "int | None",
     method_name: str,
 ) -> FeatureTransformer:
-    """Apply operators to ``ranked`` combos, then SAFE's selection pass."""
+    """One Algorithm-1 iteration on ``ranked`` instead of mined combinations.
+
+    Runs SAFE's in-memory row source (:class:`~repro.core.pipeline.MatrixSource`)
+    once: strict operator application to ``ranked`` (a faulting operator
+    raises), then the three selection stages over the original and the
+    generated features, with ``cfg``'s thresholds and output budget.
+    """
     y = train.require_labels()
     base = [Var(i) for i in range(train.n_cols)]
-    train_cache = EvalCache(train.X)
-    new_exprs = generate_features(
-        ranked,
-        operator_names,
-        base,
-        train.X,
-        existing_keys={e.key for e in base},
-        cache=train_cache,
-    )
-    candidates: list[Expression] = base + new_exprs
-    # The evaluate_forest block is freshly allocated (cache columns are
-    # copied into it), so clean_matrix may sanitize in place.
-    X_cand = clean_matrix(evaluate_forest(candidates, cache=train_cache), copy=False)
+    source = MatrixSource(train.X, y, cfg)
+    new_exprs = source.generate(ranked, base, {e.key for e in base}, None)
+    candidates = base + new_exprs
+    max_output = cfg.max_output_features
     if max_output is None:
         max_output = 2 * train.n_cols
-    report = select_features(
-        X_cand,
-        y,
-        alpha=iv_threshold,
-        iv_bins=iv_bins,
-        theta=pearson_threshold,
-        ranking_n_estimators=ranking_n_estimators,
-        ranking_max_depth=ranking_max_depth,
-        max_output=max_output,
-        random_state=random_state,
-    )
-    chosen = [candidates[i] for i in report.final_order]
-    if not chosen:
-        chosen = base
+    report = source.select(candidates, max_output)
+    chosen = [candidates[i] for i in report.final_order] or base
     return FeatureTransformer(
         expressions=tuple(chosen),
         original_names=train.names,

@@ -51,19 +51,7 @@ class RandomGenerator(AutoFeatureEngineer):
         # Unary combinations for any unary operators in the set.
         singles = [(f,) for f in pool]
         ranked = pairs_to_combinations(pairs + singles)
-        return run_generation_and_selection(
-            ranked,
-            cfg.operators,
-            train,
-            max_output=cfg.max_output_features,
-            iv_threshold=cfg.iv_threshold,
-            iv_bins=cfg.iv_bins,
-            pearson_threshold=cfg.pearson_threshold,
-            ranking_n_estimators=cfg.ranking_n_estimators,
-            ranking_max_depth=cfg.ranking_max_depth,
-            random_state=cfg.random_state,
-            method_name=self.name,
-        )
+        return run_generation_and_selection(ranked, cfg, train, self.name)
 
 
 @dataclass

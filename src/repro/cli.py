@@ -98,32 +98,24 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if args.stream:
         if not isinstance(method, SAFE):
             raise ReproError("--stream is supported for --method SAFE only")
-        if args.valid:
-            raise ReproError("--stream does not support a validation set")
         train = _stream_dataset(args)
-        transformer = method.fit(
-            train, checkpoint_dir=args.checkpoint_dir
-        )
-        report = method.runtime_report_
-        if report.chunks_quarantined:
-            print(
-                f"quarantined {len(report.chunks_quarantined)} corrupt "
-                "chunk(s); fit used the surviving rows",
-                file=sys.stderr,
-            )
     else:
         train = load_csv(args.train, label_column=args.label_column)
-        valid = (
-            load_csv(args.valid, label_column=args.label_column)
-            if args.valid
-            else None
+    valid = (
+        load_csv(args.valid, label_column=args.label_column)
+        if args.valid
+        else None
+    )
+    if isinstance(method, SAFE):
+        transformer = method.fit(train, valid, checkpoint_dir=args.checkpoint_dir)
+    else:
+        transformer = method.fit(train, valid)
+    if args.stream and method.runtime_report_.chunks_quarantined:
+        print(
+            f"quarantined {len(method.runtime_report_.chunks_quarantined)} "
+            "corrupt chunk(s); fit used the surviving rows",
+            file=sys.stderr,
         )
-        if isinstance(method, SAFE):
-            transformer = method.fit(
-                train, valid, checkpoint_dir=args.checkpoint_dir
-            )
-        else:
-            transformer = method.fit(train, valid)
     transformer.save(args.plan)
     print(f"fitted {args.method}: {transformer.n_output_features} features "
           f"-> {args.plan}")

@@ -13,6 +13,10 @@ Three steps, mirroring the paper exactly:
 3. **Generate features** — apply each operator of matching arity to each
    surviving combination. Non-commutative operators are applied to every
    ordered arrangement (the paper treats ``÷`` as multiple operators).
+
+Both row sources of Algorithm 1 quarantine through one screen:
+:func:`screen_plan` over the in-memory cache or one cache per chunk,
+then :func:`screened_expressions`.
 """
 
 from __future__ import annotations
@@ -297,16 +301,10 @@ def _generate_with_quarantine(
 ) -> list[Expression]:
     """Fault-isolating variant of generation passes 2 and 3.
 
-    The stateless expressions' columns are populated first, as in the
-    strict path; if one raises, population stops there and the
-    per-expression loop below identifies and quarantines the *individual*
-    failing expressions (and still produces the healthy ones). Every
-    planned expression is then materialized once through the cache — the
-    same columns the populate pass stored, so a fault-free run is
-    bit-identical to the non-quarantine path — and screened: a raise or
-    an all-non-finite column removes the expression from this iteration
-    instead of aborting the fit. The ``generation.operator`` failpoint
-    fires once per planned expression.
+    The stateless columns are populated first, as in the strict path (a
+    raise stops population there), then :func:`screen_plan` reads them
+    back through the cache and finds the *individual* failing
+    expressions, so a fault-free run is bit-identical to the strict path.
     """
     stateless = [
         Applied(op.name, children, None)
@@ -317,33 +315,70 @@ def _generate_with_quarantine(
         batch_populate_cache(cache, stateless)
     except Exception:  # repro: ignore[except-swallow] failures re-surface per-expression below
         pass
+    exprs, screen = screen_plan(plan, [cache])
+    return screened_expressions(plan, exprs, screen, quarantine)
 
+
+def screen_plan(
+    plan: "list[tuple[Operator, tuple[Expression, ...]]]",
+    caches,
+) -> "tuple[list[Expression | None], dict]":
+    """Evaluate every planned expression over the row blocks of ``caches``.
+
+    ``caches`` yields one :class:`~repro.operators.engine.EvalCache` per
+    block: the in-memory fit's one cache, or one per chunk. Each
+    expression is built on the first block, where a stateful operator is
+    fitted and the ``generation.operator`` failpoint fires once per
+    planned expression in plan order, and is evaluated until its first
+    fault. Returns the built expressions (``None`` where building raised)
+    and the screen ``{"reasons", "any_finite"}``: per expression the
+    ``repr`` of its fault or ``None``, and whether its column holds a
+    finite value (a zero-row column does).
+    """
+    exprs: "list[Expression | None]" = [None] * len(plan)
+    reasons: "list[str | None]" = [None] * len(plan)
+    any_finite = np.zeros(len(plan), dtype=bool)
+    for block, cache in enumerate(caches):
+        for i, (op, children) in enumerate(plan):
+            if reasons[i] is not None:
+                continue
+            try:
+                if block == 0:
+                    failpoint("generation.operator")
+                    state = None
+                    if op.is_stateful:
+                        state = op.fit(*(cache.column(c) for c in children))
+                    exprs[i] = Applied(op.name, children, state)
+                column = cache.column(exprs[i])
+            except Exception as exc:
+                reasons[i] = repr(exc)
+                continue
+            if not any_finite[i]:
+                any_finite[i] = column.size == 0 or np.isfinite(column).any()
+    return exprs, {"reasons": reasons, "any_finite": any_finite}
+
+
+def screened_expressions(
+    plan: "list[tuple[Operator, tuple[Expression, ...]]]",
+    exprs: "list[Expression | None]",
+    screen: dict,
+    quarantine: "list[QuarantineRecord]",
+) -> list[Expression]:
+    """The built ``exprs`` of ``plan`` that pass ``screen`` (:func:`screen_plan`).
+
+    Each expression that raised or has no finite value is dropped and
+    gets one :class:`~repro.runtime.QuarantineRecord` in ``quarantine``.
+    """
     out: "list[Expression]" = []
-    for op, children in plan:
+    for i, (op, children) in enumerate(plan):
+        reason = screen["reasons"][i]
+        if reason is None and not screen["any_finite"][i]:
+            reason = "column is entirely non-finite"
+        if reason is None:
+            out.append(exprs[i])
+            continue
         key = op.format(*(c.key for c in children))
-        try:
-            failpoint("generation.operator")
-            if op.is_stateful:
-                state = op.fit(*(cache.column(c) for c in children))
-                expr: Expression = Applied(op.name, children, state)
-            else:
-                expr = Applied(op.name, children, None)
-            column = cache.column(expr)
-        except Exception as exc:
-            quarantine.append(
-                QuarantineRecord(key=key, operator=op.name, reason=repr(exc))
-            )
-            continue
-        if column.size and not np.isfinite(column).any():
-            quarantine.append(
-                QuarantineRecord(
-                    key=key,
-                    operator=op.name,
-                    reason="column is entirely non-finite",
-                )
-            )
-            continue
-        out.append(expr)
+        quarantine.append(QuarantineRecord(key=key, operator=op.name, reason=reason))
     return out
 
 

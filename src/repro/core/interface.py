@@ -16,11 +16,11 @@ from ..tabular.dataset import Dataset
 from .transform import FeatureTransformer
 
 
-def check_valid(train: Dataset, valid: "Dataset | None") -> None:
-    """Raise :class:`DataError` when ``valid``'s width differs from an
-    in-memory ``train``'s (a streamed fit rejects any ``valid`` itself)."""
-    in_memory = isinstance(train, Dataset)
-    if valid is not None and in_memory and valid.n_cols != train.n_cols:
+def check_valid(train, valid: "Dataset | None") -> None:
+    """Raise :class:`DataError` when ``valid``'s width differs from
+    ``train``'s, in memory (:class:`Dataset`) or chunked
+    (:class:`~repro.tabular.ChunkedDataset`) alike."""
+    if valid is not None and valid.n_cols != train.n_cols:
         raise DataError(
             f"validation set has {valid.n_cols} columns, "
             f"training set has {train.n_cols}"
@@ -65,7 +65,7 @@ class AutoFeatureEngineer(ABC):
         :class:`~repro.tabular.ChunkedDataset` as ``train`` to fit out
         of core from a row stream (SAFE does; see
         :mod:`repro.core.stream`) — the returned transformer is the same
-        servable Ψ either way.
+        servable Ψ either way, and ``valid`` is checked the same way.
         """
 
     def fit_transform(

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..boosting.carry import hyperparameters
-from ..boosting.gbm import GradientBoostingClassifier
 from ..boosting.tree import TreePath
 from ..exceptions import DataError
 from ..operators.engine import EvalCache, evaluate_forest
@@ -59,6 +58,7 @@ from .generation import (
     generate_features,
     mining_model,
     rank_combinations,
+    ranking_model,
 )
 from .interface import AutoFeatureEngineer
 from .selection import SelectionReport, select_features
@@ -114,23 +114,6 @@ def _trace_from_scalars(payload: dict) -> IterationTrace:
         n_quarantined=int(payload.get("n_quarantined", 0)),
         mining_reused=bool(payload.get("mining_reused", False)),
     )
-
-
-def _next_mining_paths(
-    report: SelectionReport, miner: GradientBoostingClassifier
-) -> "list[TreePath] | None":
-    """The paths the next iteration's mining GBM would grow, if known.
-
-    The next mining GBM fits on ``report``'s survivors, the ranking GBM's
-    top columns, with the same rows and labels. It regrows the ranking
-    GBM's trees when it also has the ranking GBM's hyperparameters —
-    compared on the built models (``miner`` is an unfitted mining GBM),
-    since the ranking learning rate is the GBM default and the mining
-    one a config field — and ``report.carried_paths`` certified them.
-    """
-    if report.ranking_hyperparameters != hyperparameters(miner):
-        return None
-    return report.carried_paths
 
 
 class MatrixSource:
@@ -262,9 +245,18 @@ def run_algorithm1(
         "learning_rate": cfg.mining_learning_rate,
         "random_state": cfg.random_state,
     }
-    miner = mining_model(**mining_params)
+    # The next mining GBM fits on the ranking GBM's top columns with the
+    # same rows and labels, so it regrows the ranking GBM's certified
+    # paths (SelectionReport.carried_paths) when the two share their
+    # hyperparameters, compared on the built models: the ranking learning
+    # rate is the GBM default, the mining one a config field.
+    may_carry = hyperparameters(mining_model(**mining_params)) == hyperparameters(
+        ranking_model(
+            cfg.ranking_n_estimators, cfg.ranking_max_depth, cfg.random_state
+        )
+    )
     # Paths of the previous ranking GBM that this iteration's mining
-    # GBM would regrow (see _next_mining_paths); None means fit it.
+    # GBM would regrow; None means fit it.
     carried: "list[TreePath] | None" = None
     start_iteration = 0
     # Why the loop stopped before n_iterations (a time-budget stop is no
@@ -327,7 +319,7 @@ def run_algorithm1(
             stopped = "selection kept no feature"
             break
         expressions = [candidates[i] for i in chosen]
-        carried = _next_mining_paths(report, miner)
+        carried = report.carried_paths if may_carry else None
         safe.traces_.append(
             IterationTrace(
                 iteration=iteration,
@@ -409,12 +401,12 @@ class SAFE(AutoFeatureEngineer):
         O(chunk + state) memory (see :mod:`repro.core.stream`), with
         ``config.sketch`` choosing between bounded-memory approximate
         quantile edges and the bit-identical exact mode. The streaming
-        path requires ``valid=None`` and row-wise stateless operators.
+        path requires row-wise stateless operators.
 
         ``valid`` is checked and otherwise unused: no GBM of Algorithm 1
-        early-stops, so a validation set cannot change Ψ. An in-memory
-        fit raises :class:`~repro.exceptions.DataError` when its column
-        count differs from ``train``'s.
+        early-stops, so a validation set cannot change Ψ. Either fit
+        raises :class:`~repro.exceptions.DataError` when its column count
+        differs from ``train``'s.
 
         ``checkpoint_dir`` enables fault tolerance across process death:
         after every completed iteration the survivor expressions and
@@ -436,9 +428,7 @@ class SAFE(AutoFeatureEngineer):
         if isinstance(train, ChunkedDataset):
             from .stream import fit_safe_streaming
 
-            return fit_safe_streaming(
-                self, train, valid=valid, checkpoint_dir=checkpoint_dir
-            )
+            return fit_safe_streaming(self, train, checkpoint_dir=checkpoint_dir)
         y = train.require_labels()
         if np.unique(y).size < 2:
             raise DataError("SAFE.fit requires both classes in the training labels")

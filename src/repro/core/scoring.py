@@ -197,6 +197,14 @@ class IntervalCodeCache:
         return cell, int(stride)
 
 
+@kernel_exempt("size rule for combination count partials, not a kernel")
+def dense_cell_limit(n_rows: int) -> int:
+    """The largest labeled radix (``2 * n_cells``) that an ``n_rows``-row
+    fit counts in a dense table; :func:`combination_count_partial` counts
+    larger ones sparsely."""
+    return 2 * max(_DENSE_CELL_FACTOR * n_rows, _DENSE_CELL_FLOOR)
+
+
 @kernel_exempt("associative merge helper for combination count partials, not a kernel")
 def merge_combination_counts(a: list, b: list) -> list:
     """Merge two :func:`combination_count_partial` results elementwise.
@@ -239,8 +247,8 @@ def combination_count_partial(
     :class:`IntervalCodeCache` layout and partials merge positionally by
     :func:`merge_combination_counts`, bit-identically.
 
-    ``dense_limit`` must come from the *total* row count (see
-    :func:`score_combinations`) so all chunks pick the same shape.
+    ``dense_limit`` must be :func:`dense_cell_limit` of the *total* row
+    count, so all chunks pick the same shape.
     """
     y_chunk = np.asarray(y_chunk).ravel()
     y01 = (y_chunk == 1).astype(np.int64)
@@ -319,10 +327,7 @@ def score_combinations(X: np.ndarray, y: np.ndarray, combos) -> np.ndarray:
     y = np.asarray(y).ravel()
     n = y.size
     base = entropy(y)
-    dense_limit = 2 * max(
-        _DENSE_CELL_FACTOR * n, _DENSE_CELL_FLOOR
-    )  # labeled radix = 2 * n_cells
     partials = combination_count_partial(
-        np.asarray(X, dtype=np.float64), y, combos, dense_limit
+        np.asarray(X, dtype=np.float64), y, combos, dense_cell_limit(n)
     )
     return gain_ratio_from_combination_counts(partials, n, base)

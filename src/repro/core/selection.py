@@ -20,9 +20,10 @@ Three computationally-cheap stages, applied in order:
 3. :func:`rank_by_importance` — order survivors by the ranking GBM's
    average split gain and truncate to the output budget.
 
-The report also hands the driver what it needs of the fitted ranking
-GBM to skip the next iteration's mining GBM: its hyperparameters, and the
-paths a refit on the survivors would give
+Both row sources of Algorithm 1 keep IV survivors through
+:func:`iv_survivors` and build their :class:`SelectionReport` with
+:func:`selection_report`, which also records the paths a mining-GBM
+refit on the survivors would give
 (:func:`repro.boosting.carry.carried_paths`).
 """
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..boosting.carry import carried_paths, hyperparameters
+from ..boosting.carry import carried_paths
 from ..boosting.gbm import GradientBoostingClassifier
 from ..boosting.tree import TreePath
 from ..exceptions import DataError
@@ -46,14 +47,15 @@ from .redundancy import DEFAULT_BLOCK_SIZE, remove_redundant_features_blocked
 class SelectionReport:
     """Bookkeeping of one pass through the three selection stages.
 
-    ``ranking_hyperparameters`` are the fitted stage-3 GBM's settings
-    (:func:`~repro.boosting.carry.hyperparameters`), and
+    Index fields point into the candidate pool: ``kept_after_iv`` and
+    ``kept_after_redundancy`` ascend, ``final_order`` runs by decreasing
+    importance, and ``information_values`` holds every candidate's IV.
     ``carried_paths`` is :func:`~repro.boosting.carry.carried_paths` of
-    that GBM on ``final_order``: the paths a GBM with those settings,
-    refit on the survivors in ``final_order``, would give, or ``None``
-    when the refit could grow other trees. The report keeps these rather
-    than the model, so traces do not hold every iteration's tree arrays.
-    Neither takes part in equality.
+    the fitted stage-3 GBM on ``final_order``: the paths a GBM with its
+    hyperparameters, refit on the survivors in ``final_order``, would
+    give, or ``None`` when the refit could grow other trees. The report
+    keeps the paths rather than the model, so traces do not hold every
+    iteration's tree arrays; they take no part in equality.
     """
 
     n_candidates: int
@@ -61,9 +63,6 @@ class SelectionReport:
     kept_after_redundancy: tuple[int, ...]
     final_order: tuple[int, ...]
     information_values: tuple[float, ...]
-    ranking_hyperparameters: "dict | None" = field(
-        default=None, repr=False, compare=False
-    )
     carried_paths: "list[TreePath] | None" = field(
         default=None, repr=False, compare=False
     )
@@ -95,11 +94,20 @@ def filter_by_information_value(
     if X.ndim != 2 or X.shape[1] == 0:
         raise DataError("filter_by_information_value expects a non-empty matrix")
     ivs = information_values_safe(X, y, n_bins)
+    return iv_survivors(ivs, alpha, min_keep), ivs
+
+
+def iv_survivors(ivs: np.ndarray, alpha: float, min_keep: int = 1) -> np.ndarray:
+    """Algorithm 3's kept columns given every column's IV, ascending.
+
+    Columns with ``IV > alpha``; if fewer than ``min_keep`` pass, the
+    top ``min_keep`` columns by IV instead.
+    """
     kept = np.flatnonzero(ivs > alpha)
     if kept.size < min_keep:
         kept = np.argsort(-ivs)[:min_keep]
         kept.sort()
-    return kept, ivs
+    return kept
 
 
 def remove_redundant_features(
@@ -185,13 +193,28 @@ def select_features(
         top_k=max_output,
         random_state=random_state,
     )
-    final = kept_red[order_local]
+    return selection_report(ivs, kept_iv, kept_red, ranking, order_local)
+
+
+def selection_report(
+    ivs: np.ndarray,
+    kept_iv: np.ndarray,
+    kept_red: np.ndarray,
+    ranking: GradientBoostingClassifier,
+    order_local: np.ndarray,
+) -> SelectionReport:
+    """The :class:`SelectionReport` of one selection pass over candidates.
+
+    ``ivs`` holds every candidate's IV, ``kept_iv`` and ``kept_red`` the
+    candidates that survived Algorithms 3 and 4, and ``order_local`` the
+    fitted stage-3 GBM ``ranking``'s order of its columns (the
+    ``kept_red`` candidates), truncated to the output budget.
+    """
     return SelectionReport(
-        n_candidates=X.shape[1],
+        n_candidates=ivs.size,
         kept_after_iv=tuple(int(i) for i in kept_iv),
         kept_after_redundancy=tuple(int(i) for i in kept_red),
-        final_order=tuple(int(i) for i in final),
+        final_order=tuple(int(i) for i in kept_red[order_local]),
         information_values=tuple(float(v) for v in ivs),
-        ranking_hyperparameters=hyperparameters(ranking),
         carried_paths=carried_paths(ranking, order_local),
     )

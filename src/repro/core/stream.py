@@ -23,11 +23,18 @@ callers of:
   edges are the ranking GBM's;
 * combination ranking merges :func:`~repro.core.scoring.combination_count_partial`
   cells and finalizes with the shared gain-ratio arithmetic;
+* quarantine mode screens generation with the in-memory fit's
+  :func:`~repro.core.generation.screen_plan`, one cache per chunk;
 * the IV filter merges :func:`~repro.metrics.batched.iv_bin_counts`
   partials over sketch-derived equal-frequency edges
   (:func:`repro.parallel.parallel_stream_iv_counts`);
 * redundancy removal merges moment and centered-Gram panels from
   :mod:`repro.core.redundancy` and runs the same greedy scan.
+
+Algorithm 2's dense-cell limit, the IV fallback and the selection report
+are the in-memory fit's own (:func:`~repro.core.scoring.dense_cell_limit`,
+:func:`~repro.core.selection.iv_survivors`,
+:func:`~repro.core.selection.selection_report`).
 
 Feature columns are re-derived per chunk: expressions evaluate against a
 fresh per-chunk :class:`~repro.operators.engine.EvalCache` and are
@@ -47,15 +54,16 @@ within O(n / capacity) ranks of the exact ones (the tests allow
 10·n/capacity; at the default capacity of 4096, 64-bin edges of 40k-row
 columns measured up to 42 ranks off), and Ψ may differ accordingly.
 
-Unsupported in v1 (rejected with ``ConfigurationError``): validation
-sets and operators that are stateful or not row-wise.
+A validation set is checked as in memory (its width must match) and
+otherwise unused: no GBM of Algorithm 1 early-stops, so it cannot change
+Ψ. Unsupported in v1 (rejected with ``ConfigurationError``): operators
+that are stateful or not row-wise.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..boosting.carry import carried_paths, hyperparameters
 from ..boosting.stream import fit_gbm_streaming
 from ..exceptions import ConfigurationError, DataError
 from ..metrics.batched import iv_from_counts
@@ -65,7 +73,6 @@ from ..operators.engine import EvalCache, evaluate_forest
 from ..operators.expressions import Applied, Expression
 from ..runtime.checkpoint import StatsCheckpointStore
 from ..runtime.failpoints import failpoint
-from ..runtime.report import QuarantineRecord
 from ..tabular.binning import DEFAULT_SKETCH_CAPACITY, streamed_quantile_edges
 from ..tabular.io import ChunkedDataset
 from ..tabular.preprocess import clean_matrix
@@ -75,6 +82,8 @@ from .generation import (
     plan_features,
     rank_from_scores,
     ranking_model,
+    screen_plan,
+    screened_expressions,
 )
 from .pipeline import run_algorithm1
 from .redundancy import (
@@ -86,13 +95,17 @@ from .redundancy import (
     merge_grams,
 )
 from .scoring import (
-    _DENSE_CELL_FACTOR,
-    _DENSE_CELL_FLOOR,
     combination_count_partial,
+    dense_cell_limit,
     gain_ratio_from_combination_counts,
     merge_combination_counts,
 )
-from .selection import SelectionReport, importance_order
+from .selection import (
+    SelectionReport,
+    importance_order,
+    iv_survivors,
+    selection_report,
+)
 from .transform import FeatureTransformer
 
 
@@ -203,7 +216,7 @@ class ChunkSource:
         if not kept:
             return []
         n_rows = self.n_rows
-        dense_limit = 2 * max(_DENSE_CELL_FACTOR * n_rows, _DENSE_CELL_FLOOR)
+        dense_limit = dense_cell_limit(n_rows)
 
         def compute_partials():
             partials = None
@@ -227,10 +240,9 @@ class ChunkSource:
         In strict mode the expressions exist as soon as the plan does — no
         column needs materializing to construct a stateless ``Applied`` —
         so only the per-expression failpoints fire. In quarantine mode one
-        stats pass evaluates every planned expression chunk-at-a-time,
-        recording raises and OR-accumulating column finiteness; the
-        screening decisions (a raise, or no finite value anywhere in the
-        column) match the in-memory `_generate_with_quarantine` exactly.
+        stats pass runs the in-memory fit's screen
+        (:func:`~repro.core.generation.screen_plan`) with one cache per
+        chunk, and the snapshotted screen picks the kept expressions.
         """
         plan = plan_features(ranked, self.cfg.operators, expressions, existing)
         exprs = [Applied(op.name, children, None) for op, children in plan]
@@ -240,48 +252,14 @@ class ChunkSource:
             return exprs
 
         def compute_screen():
-            reasons: "list[str | None]" = [None] * len(plan)
-            any_finite = np.zeros(len(plan), dtype=bool)
-            first_chunk = True
-            for _, X_chunk, _ in self.data.iter_chunks():
-                cache = EvalCache(np.asarray(X_chunk, dtype=np.float64))
-                for i, expr in enumerate(exprs):
-                    if reasons[i] is not None:
-                        continue
-                    try:
-                        if first_chunk:
-                            failpoint("generation.operator")
-                        column = cache.column(expr)
-                    except Exception as exc:
-                        reasons[i] = repr(exc)
-                        continue
-                    if not any_finite[i] and np.isfinite(column).any():
-                        any_finite[i] = True
-                first_chunk = False
-            return {"reasons": reasons, "any_finite": any_finite}
+            caches = (
+                EvalCache(np.asarray(X_chunk, dtype=np.float64))
+                for _, X_chunk, _ in self.data.iter_chunks()
+            )
+            return screen_plan(plan, caches)[1]
 
         screen = self._stage("generate-screen", compute_screen)
-        reasons = screen["reasons"]
-        any_finite = screen["any_finite"]
-
-        out: list[Expression] = []
-        for i, (op, children) in enumerate(plan):
-            key = op.format(*(c.key for c in children))
-            if reasons[i] is not None:
-                quarantine.append(
-                    QuarantineRecord(key=key, operator=op.name, reason=reasons[i])
-                )
-            elif not any_finite[i]:
-                quarantine.append(
-                    QuarantineRecord(
-                        key=key,
-                        operator=op.name,
-                        reason="column is entirely non-finite",
-                    )
-                )
-            else:
-                out.append(exprs[i])
-        return out
+        return screened_expressions(plan, exprs, screen, quarantine)
 
     def select(self, candidates, max_output) -> SelectionReport:
         """The three selection stages over the stream; same report shape."""
@@ -329,10 +307,7 @@ class ChunkSource:
         counts = self._stage("sel-iv-counts", compute_counts)
         n_pos = self.n_pos
         ivs = iv_from_counts(counts[0], counts[1], n_pos, n_rows - n_pos, scorable)
-        kept_iv = np.flatnonzero(ivs > cfg.iv_threshold)
-        if kept_iv.size < 1:  # min_keep fallback of the in-memory filter
-            kept_iv = np.argsort(-ivs)[:1]
-            kept_iv.sort()
+        kept_iv = iv_survivors(ivs, cfg.iv_threshold)
 
         # -- Algorithm 4: redundancy removal -----------------------------
         chunks_iv = forest_chunks(data, [candidates[i] for i in kept_iv])
@@ -373,16 +348,7 @@ class ChunkSource:
             stats=self._scope("sel-rank-gbm"),
         )
         order_local = importance_order(ranking, max_output)
-        final = kept_red[order_local]
-        return SelectionReport(
-            n_candidates=len(candidates),
-            kept_after_iv=tuple(int(i) for i in kept_iv),
-            kept_after_redundancy=tuple(int(i) for i in kept_red),
-            final_order=tuple(int(i) for i in final),
-            information_values=tuple(float(v) for v in ivs),
-            ranking_hyperparameters=hyperparameters(ranking),
-            carried_paths=carried_paths(ranking, order_local),
-        )
+        return selection_report(ivs, kept_iv, kept_red, ranking, order_local)
 
     def after_checkpoint(self) -> None:
         # The iteration's survivors are durable; its mid-iteration
@@ -405,7 +371,6 @@ class ChunkSource:
 def fit_safe_streaming(
     safe,
     train: ChunkedDataset,
-    valid=None,
     checkpoint_dir: "str | None" = None,
 ) -> FeatureTransformer:
     """Run Algorithm 1 against a chunked row stream, out of core.
@@ -420,10 +385,6 @@ def fit_safe_streaming(
     uninterrupted one has left).
     """
     cfg = safe.config
-    if valid is not None:
-        raise ConfigurationError(
-            "streaming fit does not support a validation set"
-        )
     _check_streamable_config(cfg)
     if train.n_rows < 1:
         raise DataError("streaming fit needs at least one row")

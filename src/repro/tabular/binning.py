@@ -319,22 +319,17 @@ def streamed_quantile_edges(
     if sketch == "exact":
         if exact_batch_cols < 1:
             raise ConfigurationError("exact_batch_cols must be >= 1")
-        for start in range(0, n_cols, exact_batch_cols):
-            cols = range(start, min(start + exact_batch_cols, n_cols))
-            sketches = {j: QuantileSketch(capacity=None) for j in cols}
-            for _rows, X_chunk, _y in chunk_iter():
-                for j in cols:
-                    sketches[j].update(X_chunk[:, j])
-            for j in cols:
-                finish(j, sketches[j])
-        return edges_per_col, n_finite, col_min, col_max
-
-    all_sketches = [QuantileSketch(capacity=capacity) for _ in range(n_cols)]
-    for _rows, X_chunk, _y in chunk_iter():
-        for j in range(n_cols):
-            all_sketches[j].update(X_chunk[:, j])
-    for j in range(n_cols):
-        finish(j, all_sketches[j])
+        batch_cols, sketch_capacity = exact_batch_cols, None
+    else:
+        batch_cols, sketch_capacity = max(n_cols, 1), capacity
+    for start in range(0, n_cols, batch_cols):
+        cols = range(start, min(start + batch_cols, n_cols))
+        sketches = [QuantileSketch(capacity=sketch_capacity) for _ in cols]
+        for _rows, X_chunk, _y in chunk_iter():
+            for j, sk in zip(cols, sketches):
+                sk.update(X_chunk[:, j])
+        for j, sk in zip(cols, sketches):
+            finish(j, sk)
     return edges_per_col, n_finite, col_min, col_max
 
 

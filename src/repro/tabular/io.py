@@ -121,7 +121,8 @@ def load_manifest(path: "str | Path") -> dict:
     Trusting a tampered manifest would let a tampered chunk verify. A
     checksummed manifest whose keys have the wrong type, or whose
     ``chunks`` is not one digest string per ``chunk_rows`` rows, raises
-    the error naming that key.
+    the error naming that key; so does a ``names`` that is present, not
+    null, and not one string per column.
     """
     payload = read_record(path, "manifest", MANIFEST_FORMAT, ChunkIntegrityError)
     missing = [key for key in _MANIFEST_KEYS if key not in payload]
@@ -153,6 +154,17 @@ def load_manifest(path: "str | Path") -> dict:
     ):
         raise ChunkIntegrityError(
             f"manifest {path}: chunks must be a list of {n_chunks} digest strings"
+        )
+    names = payload.get("names")
+    n_cols = payload["n_cols"]
+    if names is not None and not (
+        isinstance(names, list)
+        and len(names) == n_cols
+        and all(isinstance(name, str) for name in names)
+    ):
+        raise ChunkIntegrityError(
+            f"manifest {path}: names must be null or a list of {n_cols} strings, "
+            f"got {names!r}"
         )
     return payload
 
@@ -206,35 +218,26 @@ def load_csv(path: "str | Path", label_column: "str | None" = "label") -> Datase
     """Read a numeric CSV with header into a :class:`Dataset`.
 
     If ``label_column`` is present in the header it becomes ``y``;
-    pass ``label_column=None`` to treat every column as a feature.
+    pass ``label_column=None`` to treat every column as a feature. Rows
+    are parsed and checked by :func:`iter_csv_chunks`, so a row whose
+    width differs from the header's raises
+    :class:`~repro.exceptions.DataError` naming its line.
     """
     path = Path(path)
     with path.open("r", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) if v != "" else float("nan") for v in row])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from None
-    if not rows:
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise DataError(f"{path} is empty")
+    chunks = list(iter_csv_chunks(path, DEFAULT_CHUNK_ROWS, label_column))
+    if not chunks:
         raise DataError(f"{path} has a header but no data rows")
-    matrix = np.asarray(rows, dtype=np.float64)
-    if matrix.shape[1] != len(header):
-        raise DataError(f"{path}: ragged rows (header has {len(header)} fields)")
-    if label_column is not None and label_column in header:
-        k = header.index(label_column)
-        y = matrix[:, k]
-        X = np.delete(matrix, k, axis=1)
-        names = [h for i, h in enumerate(header) if i != k]
-        return Dataset(X=X, names=tuple(names), y=y)
-    return Dataset(X=matrix, names=tuple(header), y=None)
+    X = np.concatenate([X_chunk for _, X_chunk, _ in chunks])
+    if chunks[0][2] is None:
+        return Dataset(X=X, names=tuple(header), y=None)
+    k = header.index(label_column)
+    names = tuple(h for i, h in enumerate(header) if i != k)
+    y = np.concatenate([y_chunk for _, _, y_chunk in chunks])
+    return Dataset(X=X, names=names, y=y)
 
 
 class ChunkedDataset:
@@ -635,7 +638,7 @@ class ChunkedDataset:
         if names is None and manifest_path is not None:
             recorded = load_manifest(manifest_path).get("names")
             if recorded:
-                names = tuple(str(n) for n in recorded)
+                names = tuple(recorded)
         if names is None:
             probe = np.load(x_path, mmap_mode="r")
             if probe.ndim != 2:

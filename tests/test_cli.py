@@ -206,6 +206,15 @@ class TestErrorExitCodes:
         )
         assert not (tmp_path / "p.json").exists()
 
+    def test_mixed_width_csv_fit_exits_2(self, tmp_path, capsys):
+        train = tmp_path / "mixed.csv"
+        train.write_text("a,b,label\n1,2,0\n3,4,5,1\n5,6,1\n")
+        rc = main(["fit", "--train", str(train), "--plan", str(tmp_path / "p.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: DataError: {train}:3: ragged row (header has 3 fields)\n"
+        )
+
     def test_finding_exits_stay_at_1(self, tmp_path, capsys):
         # Exit 1 still means "ran fine, rejected the input", not a fault.
         src = tmp_path / "src"

@@ -23,7 +23,6 @@ from repro.boosting.stream import _tree_from_state, _tree_state
 from repro.boosting.tree import GAIN_TIE_RTOL
 from repro.core import SAFE, SAFEConfig
 from repro.core import selection
-from repro.core import stream as core_stream
 from repro.core.pipeline import _trace_from_scalars, _trace_scalars
 from repro.exceptions import InjectedFault
 from repro.runtime.checkpoint import CheckpointManager, StatsCheckpointStore
@@ -89,8 +88,7 @@ def _scalars(safe, drop=("elapsed_seconds",)):
 
 
 def _refuse_carry(monkeypatch):
-    for module in (selection, core_stream):
-        monkeypatch.setattr(module, "carried_paths", lambda model, survivors: None)
+    monkeypatch.setattr(selection, "carried_paths", lambda model, survivors: None)
 
 
 def _count_passes(monkeypatch) -> list:

@@ -334,6 +334,33 @@ class TestRuntimeParity:
         ]
         assert q_stream == q_mem and len(q_stream) == 1
 
+    def test_non_finite_quarantine_parity(self):
+        """The screen's second reason: ``f0 * f1`` overflows in every row
+        (``clean_matrix``'s clip still leaves ``f0`` and ``f1`` a split),
+        so both sources quarantine it and keep the same Ψ."""
+        rng = np.random.default_rng(1)
+        n = 900
+        signs = rng.choice([-1.0, 1.0], size=(n, 2))
+        huge = rng.uniform(1e200, 2e200, size=(n, 2)) * signs
+        X = np.column_stack([huge, rng.normal(size=(n, 2))])
+        y = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(np.float64)
+        names = ("f0", "f1", "f2", "f3")
+        cfg = SAFEConfig(n_iterations=1, sketch="exact", random_state=0)
+        fits = []
+        for data in (
+            Dataset(X=X.copy(), y=y.copy(), names=names),
+            ChunkedDataset(names, 97, X=X, y=y),
+        ):
+            safe = SAFE(cfg)
+            with np.errstate(over="ignore"):
+                keys = _keys(safe.fit(data))
+            records = [
+                (i, r.key, r.reason) for i, r in safe.runtime_report_.quarantined
+            ]
+            fits.append((keys, records))
+        expected = [(0, "(x0 * x1)", "column is entirely non-finite")]
+        assert fits[0] == fits[1] == (("(x0 / x1)",), expected)
+
     def test_checkpoint_resume_parity(self, tmp_path):
         X, y, names = _workload(61, 2000, 5)
         cfg = SAFEConfig(n_iterations=2, sketch="exact", random_state=0)
@@ -367,11 +394,17 @@ class TestStreamabilityRejections:
         with pytest.raises(ConfigurationError, match="not streamable"):
             SAFE(cfg).fit(self._data())
 
-    def test_validation_set_rejected(self):
-        X, y, names = _workload(41, 400, 4)
-        cfg = SAFEConfig(n_iterations=1)
-        with pytest.raises(ConfigurationError, match="validation set"):
-            SAFE(cfg).fit(self._data(), valid=Dataset(X=X, y=y, names=names))
+    def test_validation_set_checked_and_unused(self):
+        """A same-width ``valid`` leaves the streamed Ψ as it is (no GBM
+        of Algorithm 1 early-stops); another width raises, as in memory."""
+        X, y, names = _workload(42, 300, 4)
+        cfg = SAFEConfig(n_iterations=2, sketch="exact", random_state=0)
+        psi = SAFE(cfg).fit(self._data())
+        valid = Dataset(X=X, y=y, names=names)
+        assert _keys(SAFE(cfg).fit(self._data(), valid=valid)) == _keys(psi)
+        narrow = Dataset(X=X[:, :3], y=y, names=names[:3])
+        with pytest.raises(DataError, match="validation set has 3 columns"):
+            SAFE(cfg).fit(self._data(), valid=narrow)
 
     def test_bogus_sketch_mode_rejected(self):
         with pytest.raises(ConfigurationError, match="sketch"):

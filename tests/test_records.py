@@ -250,6 +250,10 @@ class TestMalformedButChecksummed:
             ("chunk_rows", 4.0),
             ("dtype", 8),
             ("labeled", "yes"),
+            ("names", 5),
+            ("names", "ab"),
+            ("names", [1, 2]),
+            ("names", ["a"]),
         ],
         ids=[
             "chunks-int",
@@ -262,6 +266,10 @@ class TestMalformedButChecksummed:
             "chunk_rows-float",
             "dtype-int",
             "labeled-str",
+            "names-int",
+            "names-str",
+            "names-non-str",
+            "names-one-short",
         ],
     )
     def test_manifest_key_of_the_wrong_shape_names_it(self, tmp_path, key, value):
@@ -306,6 +314,22 @@ class TestMalformedButChecksummed:
             ChunkedDataset.from_npy(
                 x_path, y_path, names=data.names, chunk_rows=50, manifest=True
             ).verify_integrity()
+
+    @pytest.mark.parametrize(
+        "names", [5, "abc", [1, 2, 3]], ids=["int", "str", "non-str"]
+    )
+    def test_from_npy_refuses_manifest_names_of_the_wrong_shape(self, tmp_path, names):
+        X = np.zeros((200, 3))
+        y = np.arange(200) % 2.0
+        x_path, y_path = tmp_path / "X.npy", tmp_path / "y.npy"
+        save_npy(Dataset(X=X, y=y, names=("a", "b", "c")), x_path, y_path)
+        view = ChunkedDataset.from_npy(x_path, y_path, chunk_rows=50, manifest=False)
+        sidecar = write_manifest(view)
+        payload = json.loads(sidecar.read_text(encoding="utf-8"))["payload"]
+        payload["names"] = names
+        sidecar.write_text(_envelope(payload), encoding="utf-8")
+        with pytest.raises(ChunkIntegrityError, match="names must be"):
+            ChunkedDataset.from_npy(x_path, y_path, chunk_rows=50, manifest=True)
 
     def test_stats_snapshot_with_non_object_metadata_is_skipped(self, tmp_path):
         from repro.runtime.checkpoint import _stats_checksum

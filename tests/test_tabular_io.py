@@ -70,6 +70,19 @@ class TestErrors:
         with pytest.raises(DataError):
             load_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, line, fields",
+        [("a,b,label\n1,2,0\n3,4,5,1\n5,6,1\n", 3, 3), ("a,b\n1,2\n3\n", 3, 2)],
+        ids=["long-row", "short-row"],
+    )
+    def test_mixed_width_rows_name_the_line(self, tmp_path, text, line, fields):
+        path = tmp_path / "mixed.csv"
+        path.write_text(text)
+        with pytest.raises(
+            DataError, match=rf"mixed.csv:{line}: ragged row \(header has {fields} fields\)"
+        ):
+            load_csv(path)
+
 
 def _manifest_workload(tmp_path, n=500, cols=4, chunk_rows=100):
     from repro.tabular.io import ChunkedDataset, save_npy, write_manifest
