@@ -115,6 +115,19 @@ class TestGenerateFeatures:
         )
         assert len(out) == 6  # add, mul, 2×sub, 2×div
 
+    def test_quarantine_keeps_zero_row_columns(self):
+        """A zero-row column holds no non-finite value either: it is kept."""
+        quarantine = []
+        out = generate_features(
+            self._ranked_pair(),
+            ("add",),
+            [Var(0), Var(1)],
+            np.empty((0, 2)),
+            set(),
+            quarantine=quarantine,
+        )
+        assert [e.key for e in out] == ["(x0 + x1)"] and quarantine == []
+
     def test_existing_keys_deduped(self, rng):
         X = rng.normal(size=(50, 3))
         base = [Var(i) for i in range(3)]
